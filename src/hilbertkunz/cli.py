@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from . import corpus, engine
 from .errors import CapExceededError, ParseError, UserError
@@ -314,12 +315,13 @@ def cmd_reconstruct(args) -> int:
     if args.bound is not None:
         bound = args.bound
     else:
-        import math
-
-        qs = [q for q, _ in rows]
-        p = min(q for q in qs if q > 1)
+        qs = [q for q, _ in rows if q > 1]
+        if not qs:
+            raise UserError(f"{args.table}: no row with q > 1 to read p from; pass --bound")
+        q0 = min(qs)
+        p = next((d for d in range(2, isqrt(q0) + 1) if q0 % d == 0), q0)  # least prime factor
         # conservative default: n unknown from a bare table, use n = 3
-        e_cap = max(1, round(math.log(max(qs), p)))
+        e_cap = engine.validate_prime_power(p, max(qs))
         bound = default_denominator_bound(3, args.degY, p, e_cap).bound
     window = _frac(args.window) if args.window else None
     window_constant = args.window_constant

@@ -360,7 +360,8 @@ def criterion_7(plane_values) -> CriterionResult:
             if isinstance(nu2, Fraction):
                 in_range = Fraction(3, 2) <= nu2 <= 2
             else:
-                in_range = 1.5 - 1e-9 <= nu2.approx() <= 2 + 1e-9
+                # (3 + sqrt(D))/2 lies in [3/2, 2] exactly when 0 <= D <= 1
+                in_range = 0 <= nu2.disc <= 1
             if not in_range:
                 return False, f"nu_2 = {nu2} outside [3/2, 2] for e_HK = {ehk}", None
             details.append(f"e_HK={ehk} -> nu_2={nu2}")

@@ -1,16 +1,17 @@
 """Direct computation of the Hilbert-Kunz function, degree by degree.
 
-For each degree m the engine assembles the multiplication map
+Degree m is read from the rank of the multiplication map
 
     (+)_i R_{m - q d_i}  ->  R_m,   (a_i) |-> sum_i a_i g_i,
 
-with g_i the reduced q-th generator powers, in monomial coordinates of
-the per-degree bases, and computes one rank.  The colength of the
-degree-m piece of R/(g_1, ..., g_n) is then dim R_m - rank, and the
-kernel dimension of the same matrix is the global syzygy dimension
-h^0(Syz(g_1..g_n)(m)).  Both are reported from a single elimination;
-the alternating-sum identity relating them is asserted as a free
-indexing cross-check.
+with g_i the reduced q-th generator powers, in monomial coordinates.
+The colength of the degree-m piece of R/(g_1, ..., g_n) is dim R_m - rank,
+and the kernel dimension is h^0(Syz(g_1..g_n)(m)).  On the free ring
+K[x,y] the degree-m map is the degree-(m-1) map plus one column per
+generator, so one elimination per q streams every degree's rank
+(``free2_pieces``); other rings eliminate each degree's map on its own
+(``_degree_piece``).  The rank-nullity form of the alternating sum is
+asserted for every piece as an indexing cross-check.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CapExceededError, InternalError, UserError
+from .field import PrimeField
 from .linalg import RankBuilder
 from .ring import GradedRing, IdealSpec
-
-DEFAULT_SAFETY = 16
 
 
 def validate_prime_power(p: int, q: int) -> int:
@@ -43,24 +43,6 @@ def frobenius_power_gens(ideal: IdealSpec, q: int) -> tuple:
     """Reduced generators of the q-th Frobenius power."""
     validate_prime_power(ideal.field.p, q)
     return tuple(ideal.ring.pow_reduced(g, q) for g in ideal.gens)
-
-
-def _free2_block(ring: GradedRing, g, m: int) -> np.ndarray:
-    """Multiplication-by-g block R_{m-d} -> R_m for the free ring K[x,y].
-
-    With bases indexed by y-exponent the map is a shifted copy of g's
-    coefficient vector in every column.
-    """
-    d = g.degree()
-    cols = m - d + 1
-    rows = m + 1
-    cvec = np.zeros(d + 1, dtype=np.int64)
-    for exp, c in g.terms.items():
-        cvec[exp[1]] = c
-    block = np.zeros((rows, cols), dtype=np.int64)
-    for j in range(cols):
-        block[j : j + d + 1, j] = cvec
-    return block
 
 
 def _generic_columns(ring: GradedRing, g, m: int):
@@ -91,23 +73,20 @@ class DegreePiece:
     dim_source: int
 
 
-def _degree_piece(ideal: IdealSpec, gens_q, q: int, m: int) -> DegreePiece:
-    ring = ideal.ring
+def _degree_piece(ring: GradedRing, gens, degrees, m: int) -> DegreePiece:
+    """The degree-m map (+)_i R_{m - degrees[i]} -> R_m, assembled and eliminated whole."""
     rows = ring.hilbert_dim(m)
-    source_dims = [ring.hilbert_dim(m - q * d) for d in ideal.degrees]
+    source_dims = [ring.hilbert_dim(m - d) for d in degrees]
     cols = sum(source_dims)
     if rows == 0 or cols == 0:
         return DegreePiece(m, rows, cols, 0, rows, cols)
-    builder = RankBuilder(ideal.field, rows)
+    builder = RankBuilder(ring.field, rows)
     fed = 0
-    for g, dim_i in zip(gens_q, source_dims):
+    for g, dim_i in zip(gens, source_dims):
         if dim_i == 0:
             continue
-        if ring.relation is None and ring.nvars == 2:
-            builder.add_columns(_free2_block(ring, g, m))
-        else:
-            for col in _generic_columns(ring, g, m):
-                builder.add_column(col)
+        for col in _generic_columns(ring, g, m):
+            builder.add_column(col)
         fed += dim_i
     if fed != cols:
         raise InternalError("column count mismatch while building the map")
@@ -120,12 +99,46 @@ def _degree_piece(ideal: IdealSpec, gens_q, q: int, m: int) -> DegreePiece:
     return DegreePiece(m, colength, h0, rank, rows, cols)
 
 
+def free2_pieces(field: PrimeField, gens, top: int):
+    """Yield the DegreePiece of K[x,y]/(gens) for m = 0..top from one elimination.
+
+    With rows indexed by y-exponent, the column of y^j x^(m-D-j) * g is g's
+    coefficient vector shifted by j in every degree m, so the degree-m map
+    is the degree-(m-1) map plus the column y^(m-D) * g per generator of
+    degree D <= m.  Over GF(2) that column is the int bits(g) << (m-D).
+    """
+    degrees = [g.degree() for g in gens]
+    if field.p == 2:
+        vecs = [sum(1 << e[1] for e in g.terms) for g in gens]
+    else:
+        vecs = [
+            np.array([g.terms.get((d - b, b), 0) for b in range(d + 1)], dtype=np.int64)
+            for g, d in zip(gens, degrees)
+        ]
+    builder = RankBuilder(field, top + 1)
+    fed = 0
+    for m in range(top + 1):
+        for vec, d in zip(vecs, degrees):
+            if d <= m:
+                builder.add_column(vec << (m - d) if field.p == 2 else np.pad(vec, (m - d, 0)))
+                fed += 1
+        rank = builder.rank()
+        rows = m + 1
+        cols = sum(m - d + 1 for d in degrees if d <= m)
+        colength = rows - rank
+        h0 = cols - rank
+        # rank-nullity form of the alternating sum; guards indexing errors
+        if colength != rows - fed + h0:
+            raise InternalError("alternating-sum identity violated")
+        yield DegreePiece(m, colength, h0, rank, rows, cols)
+
+
 def degree_piece(ideal: IdealSpec, q: int, m: int) -> DegreePiece:
     """Colength and syzygy dimension of the degree-m piece of R/I^[q]."""
     if m < 0:
         return DegreePiece(m, 0, 0, 0, 0, 0)
     gens_q = frobenius_power_gens(ideal, q)
-    return _degree_piece(ideal, gens_q, q, m)
+    return _degree_piece(ideal.ring, gens_q, [q * d for d in ideal.degrees], m)
 
 
 def graded_piece_colength(ideal: IdealSpec, q: int, m: int) -> int:
@@ -139,23 +152,8 @@ def syzygy_h0(ideal: IdealSpec, q: int, m: int) -> int:
 
 def colength_of_generators(ring: GradedRing, gens, m: int) -> int:
     """Degree-m colength of the plain ideal (gens); used by primarity checks."""
-    rows = ring.hilbert_dim(m)
-    if rows == 0:
-        return 0
-    gens = [ring.reduce(g) for g in gens]
-    builder = RankBuilder(ring.field, rows)
-    for g in gens:
-        if g.is_zero():
-            continue
-        d = g.degree()
-        if ring.hilbert_dim(m - d) == 0:
-            continue
-        if ring.relation is None and ring.nvars == 2:
-            builder.add_columns(_free2_block(ring, g, m))
-        else:
-            for col in _generic_columns(ring, g, m):
-                builder.add_column(col)
-    return rows - builder.rank()
+    gens = [g for g in map(ring.reduce, gens) if not g.is_zero()]
+    return _degree_piece(ring, gens, [g.degree() for g in gens], m).colength
 
 
 @dataclass
@@ -190,40 +188,40 @@ def hk_value(
 ) -> HKRow:
     """phi(I, q) = length(R/I^[q]) by summing per-degree colengths.
 
-    In a standard-graded quotient one vanishing graded piece forces all
-    higher pieces to vanish, so summation stops at the first run of
-    ``consecutive_zeros`` zero degrees (default: sum of the generator
-    degrees, as cheap insurance against indexing bugs).  The a-priori
-    degree bound q * max_{i != j}(d_i + d_j) plus slack serves as a hard
-    cap; hitting it signals non-primary input or a bug.
+    One vanishing graded piece forces all higher pieces to vanish, so
+    summation stops at the first run of ``consecutive_zeros`` zero degrees
+    (default: sum of the generator degrees).  A primary ideal never hits
+    the cap q*m0 + nvars*(q-1) + consecutive_zeros, m0 the primarity
+    degree: write each exponent as a_i = q b_i + r_i with r_i < q; in
+    degree q*m0 + nvars*(q-1) and above, sum b_i >= m0, so x^b lies in I
+    and the monomial in I^[q].
     """
     validate_prime_power(ideal.field.p, q)
     if consecutive_zeros is None:
         consecutive_zeros = max(1, sum(ideal.degrees))
     if hard_cap is None:
-        hard_cap = q * ideal.max_pair_degree() + DEFAULT_SAFETY + consecutive_zeros
+        hard_cap = q * ideal.primarity_degree + ideal.ring.nvars * (q - 1) + consecutive_zeros
     gens_q = frobenius_power_gens(ideal, q)
+    if ideal.ring.relation is None and ideal.ring.nvars == 2:
+        pieces = free2_pieces(ideal.field, gens_q, hard_cap)
+    else:
+        degrees_q = [q * d for d in ideal.degrees]
+        pieces = (_degree_piece(ideal.ring, gens_q, degrees_q, m) for m in range(hard_cap + 1))
     per_degree = {}
     phi = 0
     zeros_run = 0
-    m = 0
-    while True:
-        piece = _degree_piece(ideal, gens_q, q, m)
+    for piece in pieces:
         c = piece.colength
         if keep_degrees:
-            per_degree[m] = c
+            per_degree[piece.m] = c
         phi += c
         zeros_run = zeros_run + 1 if c == 0 else 0
         if zeros_run >= consecutive_zeros:
-            cutoff = m - zeros_run + 1
-            break
-        m += 1
-        if m > hard_cap:
-            raise CapExceededError(
-                f"no vanishing tail up to degree {hard_cap} for q={q}; "
-                "non-primary input or raise the cap"
-            )
-    return HKRow(q=q, phi=phi, cutoff=cutoff, per_degree=per_degree)
+            return HKRow(q=q, phi=phi, cutoff=piece.m - zeros_run + 1, per_degree=per_degree)
+    raise CapExceededError(
+        f"no vanishing tail up to degree {hard_cap} for q={q}; "
+        "non-primary input or raise the cap"
+    )
 
 
 def hk_table(ideal: IdealSpec, q_list, **kwargs) -> HKFunctionTable:

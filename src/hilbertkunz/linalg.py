@@ -46,10 +46,12 @@ class RankBuilder:
     # -- feeding -------------------------------------------------------
 
     def add_column(self, entries) -> None:
-        """Add one vector, given as dict {index: value} or a sequence."""
+        """Add one vector: a dict {index: value}, a sequence, or for p == 2 an int bitset."""
         if self.p == 2:
             v = 0
-            if isinstance(entries, dict):
+            if isinstance(entries, int):
+                v = entries
+            elif isinstance(entries, dict):
                 for i, c in entries.items():
                     if c % 2:
                         v |= 1 << i

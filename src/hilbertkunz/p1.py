@@ -56,8 +56,8 @@ def splitting_type(ideal: IdealSpec, q: int) -> SplittingType:
     twists = []
     prev_h0 = 0
     prev_delta = 0
-    for m in range(cap + 1):
-        h0 = engine._degree_piece(ideal, gens_q, q, m).syzygy_h0
+    for piece in engine.free2_pieces(ideal.field, gens_q, cap):
+        m, h0 = piece.m, piece.syzygy_h0
         delta = h0 - prev_h0
         new = delta - prev_delta
         if new < 0 or delta > n - 1:
@@ -164,9 +164,8 @@ def verify_h0_profile(ideal: IdealSpec, q: int, hn: HNData) -> ProfileReport:
         acc_w += r * v
         prefix_rank.append(acc_r)
         prefix_wsum.append(acc_w)
-    for m in range(0, top + 1):
-        piece = engine._degree_piece(ideal, gens_q, q, m)
-        h0 = piece.syzygy_h0
+    for piece in engine.free2_pieces(ideal.field, gens_q, top):
+        m, h0 = piece.m, piece.syzygy_h0
         expected = sum(max(0, m - e + 1) for e in twists)
         if h0 != expected:
             report.mismatches.append(

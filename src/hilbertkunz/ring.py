@@ -193,8 +193,13 @@ def first_vanishing_degree(ring: GradedRing, gens, bound: int) -> int:
     """
     from . import engine
 
-    for m in range(0, bound + 1):
-        if engine.colength_of_generators(ring, gens, m) == 0:
+    if ring.relation is None and ring.nvars == 2:
+        nonzero = [g for g in gens if not g.is_zero()]
+        colengths = (piece.colength for piece in engine.free2_pieces(ring.field, nonzero, bound))
+    else:
+        colengths = (engine.colength_of_generators(ring, gens, m) for m in range(bound + 1))
+    for m, colength in enumerate(colengths):
+        if colength == 0:
             return m
     raise NotPrimaryError(
         f"no vanishing graded piece up to degree {bound}; ideal is not primary "

@@ -134,6 +134,26 @@ def test_reconstruct_round_trip(tmp_path, capsys):
     assert "nu2 = 3/2" in out
 
 
+def test_reconstruct_default_bound_reads_p_from_prime_factor(tmp_path, capsys):
+    """A table starting at q = 25 gets the same p = 5 and e = 3 as one
+    starting at q = 5, and a table without q > 1 is a user error."""
+    outputs = []
+    for qs in ((5, 25, 125), (25, 125)):
+        table = tmp_path / f"phi{len(qs)}.csv"
+        table.write_text("q,phi\n" + "".join(f"{q},{7 * q * q}\n" for q in qs))
+        code, out, _ = run_cli(["reconstruct", "--table", str(table)], capsys)
+        assert code == 0
+        outputs.append(out)
+    for out in outputs:
+        assert "ehk = 7" in out
+        assert "denominator_bound = 500" in out
+    flat = tmp_path / "flat.csv"
+    flat.write_text("q,phi\n1,7\n1,7\n")
+    code, _, err = run_cli(["reconstruct", "--table", str(flat)], capsys)
+    assert code == 1
+    assert "q > 1" in err
+
+
 def test_exit_code_user_error(capsys):
     # non-primary ideal
     code, _, err = run_cli(["compute", "--p", "2", "--gens", "x;x^2", "--q", "2"], capsys)

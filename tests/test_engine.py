@@ -137,6 +137,19 @@ def test_hard_cap_raises():
         engine.hk_value(ideal, 16, consecutive_zeros=5, hard_cap=3)
 
 
+def test_hard_cap_holds_on_high_degree_curve():
+    """(x,y,z) on x^41+y^41+z^41 over F_2 at q = 32 is primary; the derived
+    cap q*m0 + nvars*(q-1) + zeros must not be reached (a cap from the
+    generator degrees alone stopped at degree 83)."""
+    F = PrimeField(2)
+    names = ("x", "y", "z")
+    R = GradedRing(F, names, relation=parse_poly("x^41+y^41+z^41", names, F))
+    ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
+    row = engine.hk_value(ideal, 32, keep_degrees=False)
+    assert row.phi == 32768
+    assert row.cutoff == 94
+
+
 def test_hk_table_collects_rows():
     ideal = free_ideal(2, ("x", "y"))
     table = engine.hk_table(ideal, (1, 2, 4), keep_degrees=False)

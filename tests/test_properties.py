@@ -1,0 +1,80 @@
+"""Cross-route property tests on random primary binary forms.
+
+Each drawn ideal of F_p[x,y] is run through the streamed route
+(``free2_pieces``), the per-degree route (``_degree_piece``), the
+ambient-ring elimination in ``oracles.py`` and the splitting type, and
+the four must agree.  p = 65521 runs the float64 backend on entries
+near 2^16; p = 2^31 - 1 takes the int64 backend.  For p > 5 only q = 1 is
+drawn: at q = p the degrees run into the tens of thousands.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hilbertkunz import engine
+from hilbertkunz.errors import NotPrimaryError
+from hilbertkunz.field import PrimeField
+from hilbertkunz.p1 import splitting_type
+from hilbertkunz.poly import Poly
+from hilbertkunz.ring import GradedRing, IdealSpec
+
+from oracles import ambient_colength, frobenius_terms
+
+CASES = ((2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5), (65521, 1), (2**31 - 1, 1))
+
+
+@st.composite
+def binary_ideals(draw, p):
+    """Two to three binary forms of degree 1..3 over F_p, made primary."""
+    field = PrimeField(p)
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        d = draw(st.integers(1, 3))
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1))
+        terms = {(d - b, b): c for b, c in enumerate(coeffs) if c}
+        gens.append(Poly(field, 2, terms or {(d, 0): 1}))
+    ring = GradedRing(field, ("x", "y"))
+    try:
+        return IdealSpec(ring, tuple(gens))
+    except NotPrimaryError:
+        # a common factor: add x^D, y^D, which makes any ideal primary
+        D = max(g.degree() for g in gens)
+        powers = (Poly.monomial(field, (D, 0)), Poly.monomial(field, (0, D)))
+        return IdealSpec(ring, tuple(gens) + powers)
+
+
+def _oracle_colengths(ideal, q, top):
+    p = ideal.field.p
+    gens = [frobenius_terms(g.terms, q, p) for g in ideal.gens]
+    return [ambient_colength(None, gens, 2, p, m) for m in range(top + 1)]
+
+
+@pytest.mark.parametrize("p,q", CASES)
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_routes_agree_on_binary_forms(p, q, data):
+    ideal = data.draw(binary_ideals(p))
+    row = engine.hk_value(ideal, q)
+    last = max(row.per_degree)
+    top = max(last, q * ideal.max_pair_degree() + 2)
+    oracle = _oracle_colengths(ideal, q, top)
+
+    # streamed pieces equal the independent per-degree pieces
+    gens_q = engine.frobenius_power_gens(ideal, q)
+    degrees_q = [q * d for d in ideal.degrees]
+    streamed = list(engine.free2_pieces(ideal.field, gens_q, last))
+    assert streamed == [engine._degree_piece(ideal.ring, gens_q, degrees_q, m) for m in range(last + 1)]
+
+    # hk_value's per-degree colengths equal the ambient elimination
+    assert row.per_degree == {m: oracle[m] for m in range(last + 1)}
+    assert row.phi == sum(oracle)
+
+    # the twists give the colengths through the P^1 identity
+    twists = splitting_type(ideal, q).twists
+    for m in range(top + 1):
+        predicted = (
+            (m + 1)
+            - sum(max(0, m - q * d + 1) for d in ideal.degrees)
+            + sum(max(0, m - e + 1) for e in twists)
+        )
+        assert predicted == oracle[m], (m, twists)

@@ -109,6 +109,8 @@ def test_first_vanishing_degree_values():
     gens = (R.parse("x^3"), R.parse("x*y^2"), R.parse("y^3"))
     # per-degree colengths 1,2,3,1,0 -> first vanishing at 4
     assert first_vanishing_degree(R, gens, 20) == 4
+    # a zero generator contributes nothing
+    assert first_vanishing_degree(R, gens + (R.parse("0"),), 20) == 4
 
 
 def test_ideal_degrees_and_pair_degree():
