@@ -1,13 +1,6 @@
 """Exact Hilbert-Kunz functions and multiplicities in graded dimension two."""
 
-from .engine import (
-    HKFunctionTable,
-    HKRow,
-    graded_piece_colength,
-    hk_table,
-    hk_value,
-    syzygy_h0,
-)
+from .engine import HKRow, hk_value
 from .errors import (
     CapExceededError,
     InternalError,
@@ -15,8 +8,8 @@ from .errors import (
     ParseError,
     UserError,
 )
-from .field import FieldElement, PrimeField
-from .linalg import MatrixFF, RankBuilder
+from .field import PrimeField
+from .linalg import RankBuilder
 from .p1 import (
     NotStabilized,
     SplittingType,
@@ -28,14 +21,13 @@ from .p1 import (
 from .poly import Poly, graded_piece_basis, parse_poly
 from .reconstruct import (
     AmbiguousReconstruction,
-    DenominatorBound,
     QuadraticIrrational,
     default_denominator_bound,
     estimate_ehk,
     nu2_from_ehk,
     rational_round,
 )
-from .ring import GradedRing, IdealSpec, check_primary
+from .ring import GradedRing, IdealSpec
 from .slopes import (
     HNData,
     add_generator,
@@ -51,15 +43,11 @@ from .staircase import MonomialIdeal2, staircase_colength
 __all__ = [
     "AmbiguousReconstruction",
     "CapExceededError",
-    "DenominatorBound",
-    "FieldElement",
     "GradedRing",
-    "HKFunctionTable",
     "HKRow",
     "HNData",
     "IdealSpec",
     "InternalError",
-    "MatrixFF",
     "MonomialIdeal2",
     "NotPrimaryError",
     "NotStabilized",
@@ -72,7 +60,6 @@ __all__ = [
     "UserError",
     "add_generator",
     "analyze_ideal",
-    "check_primary",
     "default_denominator_bound",
     "ehk_from_hn",
     "ehk_n3",
@@ -81,8 +68,6 @@ __all__ = [
     "ehk_t2",
     "estimate_ehk",
     "graded_piece_basis",
-    "graded_piece_colength",
-    "hk_table",
     "hk_value",
     "hn_from_splittings",
     "nu2_from_ehk",
@@ -90,7 +75,6 @@ __all__ = [
     "rational_round",
     "splitting_type",
     "staircase_colength",
-    "syzygy_h0",
     "validate",
     "verify_h0_profile",
 ]

@@ -110,10 +110,7 @@ def build_ideal(config: dict) -> IdealSpec:
     if not gens_text:
         raise UserError("missing required key: gens (separated by ';')")
     gens = tuple(ring.parse(t.strip()) for t in gens_text.split(";") if t.strip())
-    bound = None
-    if config.get("primarity_bound"):
-        bound = int(config["primarity_bound"])
-    return IdealSpec(ring, gens, primarity_bound=bound)
+    return IdealSpec(ring, gens)
 
 
 def _q_list(config: dict, p: int) -> list:
@@ -197,12 +194,12 @@ def cmd_compute(args) -> int:
             note = "characteristic too large for the brute-force advisory check"
         print(f"smoothness advisory: {note}", file=sys.stderr)
     qs = _q_list(config, ideal.field.p)
-    table = engine.hk_table(ideal, qs, keep_degrees=True)
+    rows = [engine.hk_value(ideal, q) for q in qs]
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         _echo_config(config, out)
         print("q,phi", file=out)
-        for row in table.sorted_rows():
+        for row in rows:
             print(f"{row.q},{row.phi}", file=out)
     finally:
         if out is not sys.stdout:
@@ -211,7 +208,7 @@ def cmd_compute(args) -> int:
         with open(args.degrees_out, "w", encoding="utf-8") as fh:
             _echo_config(config, fh)
             print("q,m,colength", file=fh)
-            for row in table.sorted_rows():
+            for row in rows:
                 for m in sorted(row.per_degree):
                     print(f"{row.q},{m},{row.per_degree[m]}", file=fh)
     return EXIT_OK
@@ -322,7 +319,7 @@ def cmd_reconstruct(args) -> int:
         p = next((d for d in range(2, isqrt(q0) + 1) if q0 % d == 0), q0)  # least prime factor
         # conservative default: n unknown from a bare table, use n = 3
         e_cap = engine.validate_prime_power(p, max(qs))
-        bound = default_denominator_bound(3, args.degY, p, e_cap).bound
+        bound = default_denominator_bound(3, args.degY, p, e_cap)
     window = _frac(args.window) if args.window else None
     window_constant = args.window_constant
     if window is None and window_constant is None:

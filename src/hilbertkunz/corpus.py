@@ -196,15 +196,15 @@ def _plane_cubic_reconstruction(p, relation_text, q_list, bound, escalate_q=None
     names = ("x", "y", "z")
     ring = GradedRing(field, names, relation=parse_poly(relation_text, names, field))
     ideal = _ideal(ring, names)
-    table = engine.hk_table(ideal, q_list, keep_degrees=False)
+    window_constant = 4 * sum(ideal.degrees)
+    rows = [(q, engine.hk_value(ideal, q, keep_degrees=False).phi) for q in q_list]
     try:
-        value, report = estimate_ehk(table, bound)
+        return estimate_ehk(rows, bound, window_constant=window_constant)
     except AmbiguousReconstruction:
         if escalate_q is None:
             raise
-        table.add(engine.hk_value(ideal, escalate_q, keep_degrees=False))
-        value, report = estimate_ehk(table, bound)
-    return value, report
+        rows.append((escalate_q, engine.hk_value(ideal, escalate_q, keep_degrees=False).phi))
+        return estimate_ehk(rows, bound, window_constant=window_constant)
 
 
 def criterion_4() -> CriterionResult:

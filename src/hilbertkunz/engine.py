@@ -10,8 +10,10 @@ and the kernel dimension is h^0(Syz(g_1..g_n)(m)).  On the free ring
 K[x,y] the degree-m map is the degree-(m-1) map plus one column per
 generator, so one elimination per q streams every degree's rank
 (``free2_pieces``); other rings eliminate each degree's map on its own
-(``_degree_piece``).  The rank-nullity form of the alternating sum is
-asserted for every piece as an indexing cross-check.
+(``_degree_piece``).  ``pieces`` is the one place that picks the route,
+for ``hk_value`` and the primarity check alike.  The rank-nullity form
+of the alternating sum is asserted for every piece as an indexing
+cross-check.
 """
 
 from __future__ import annotations
@@ -141,19 +143,17 @@ def degree_piece(ideal: IdealSpec, q: int, m: int) -> DegreePiece:
     return _degree_piece(ideal.ring, gens_q, [q * d for d in ideal.degrees], m)
 
 
-def graded_piece_colength(ideal: IdealSpec, q: int, m: int) -> int:
-    return degree_piece(ideal, q, m).colength
+def pieces(ring: GradedRing, gens, top: int):
+    """DegreePiece of R/(gens) for m = 0..top; zero generators are dropped.
 
-
-def syzygy_h0(ideal: IdealSpec, q: int, m: int) -> int:
-    """dim H^0(Y, Syz(f_1^q, ..., f_n^q)(m)) = kernel of the degree-m map."""
-    return degree_piece(ideal, q, m).syzygy_h0
-
-
-def colength_of_generators(ring: GradedRing, gens, m: int) -> int:
-    """Degree-m colength of the plain ideal (gens); used by primarity checks."""
-    gens = [g for g in map(ring.reduce, gens) if not g.is_zero()]
-    return _degree_piece(ring, gens, [g.degree() for g in gens], m).colength
+    The only place a route is chosen: one streamed echelon on K[x,y],
+    one map per degree on every other ring.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if ring.relation is None and ring.nvars == 2:
+        return free2_pieces(ring.field, gens, top)
+    degrees = [g.degree() for g in gens]
+    return (_degree_piece(ring, gens, degrees, m) for m in range(top + 1))
 
 
 @dataclass
@@ -164,18 +164,6 @@ class HKRow:
     phi: int
     cutoff: int  # first degree of the terminal run of zero colengths
     per_degree: dict = dc_field(default_factory=dict)
-
-
-@dataclass
-class HKFunctionTable:
-    ideal: IdealSpec
-    rows: dict = dc_field(default_factory=dict)  # q -> HKRow
-
-    def add(self, row: HKRow) -> None:
-        self.rows[row.q] = row
-
-    def sorted_rows(self):
-        return [self.rows[q] for q in sorted(self.rows)]
 
 
 def hk_value(
@@ -201,16 +189,10 @@ def hk_value(
         consecutive_zeros = max(1, sum(ideal.degrees))
     if hard_cap is None:
         hard_cap = q * ideal.primarity_degree + ideal.ring.nvars * (q - 1) + consecutive_zeros
-    gens_q = frobenius_power_gens(ideal, q)
-    if ideal.ring.relation is None and ideal.ring.nvars == 2:
-        pieces = free2_pieces(ideal.field, gens_q, hard_cap)
-    else:
-        degrees_q = [q * d for d in ideal.degrees]
-        pieces = (_degree_piece(ideal.ring, gens_q, degrees_q, m) for m in range(hard_cap + 1))
     per_degree = {}
     phi = 0
     zeros_run = 0
-    for piece in pieces:
+    for piece in pieces(ideal.ring, frobenius_power_gens(ideal, q), hard_cap):
         c = piece.colength
         if keep_degrees:
             per_degree[piece.m] = c
@@ -223,9 +205,3 @@ def hk_value(
         "non-primary input or raise the cap"
     )
 
-
-def hk_table(ideal: IdealSpec, q_list, **kwargs) -> HKFunctionTable:
-    table = HKFunctionTable(ideal)
-    for q in q_list:
-        table.add(hk_value(ideal, q, **kwargs))
-    return table

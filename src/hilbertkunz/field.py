@@ -37,17 +37,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class FieldMismatchError(UserError):
-    """Operands belong to fields with different moduli."""
-
-
 @dataclass(frozen=True)
 class PrimeField:
     """The field Z/p, 2 <= p < 2^31.
 
-    Element values are canonical integers in [0, p); the int-valued
-    methods are the fast path used by the polynomial and matrix code,
-    while :class:`FieldElement` wraps them for value-level use.
+    Elements are plain Python ints, canonical in [0, p); callers reduce
+    with ``% p`` and invert with :meth:`inv`.
     """
 
     p: int
@@ -58,66 +53,11 @@ class PrimeField:
         if not is_prime(self.p):
             raise UserError(f"{self.p} is not prime")
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
         return pow(a, -1, self.p)
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(self, value % self.p)
-
     def __repr__(self):
         return f"F_{self.p}"
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    field: PrimeField
-    value: int
-
-    def _check(self, other: FieldElement) -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field.p != self.field.p:
-            raise FieldMismatchError(
-                f"mixed moduli: F_{self.field.p} and F_{other.field.p}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inv(self) -> FieldElement:
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.p})"

@@ -19,18 +19,9 @@ from math import factorial, isqrt
 from .errors import UserError
 
 
-@dataclass(frozen=True)
-class DenominatorBound:
-    bound: int
-
-    def __post_init__(self):
-        if self.bound < 1:
-            raise UserError("denominator bound must be positive")
-
-
-def default_denominator_bound(n: int, degY: int, p: int, e_cap: int) -> DenominatorBound:
+def default_denominator_bound(n: int, degY: int, p: int, e_cap: int) -> int:
     """2 * (n-1)! * degY * p^e_cap: the factors the formula can produce."""
-    return DenominatorBound(2 * factorial(n - 1) * degY * p**e_cap)
+    return 2 * factorial(n - 1) * degY * p**e_cap
 
 
 def rational_round(x: Fraction, bound: int, window: Fraction):
@@ -74,26 +65,16 @@ class ReconstructionReport:
     residuals: dict  # q -> |phi - estimate * q^2| / q
 
 
-def _rows_from(table):
-    """Accept an HKFunctionTable or an iterable of (q, phi) pairs."""
-    if hasattr(table, "sorted_rows"):
-        return [(row.q, row.phi) for row in table.sorted_rows()]
-    rows = sorted((int(q), int(phi)) for q, phi in table)
-    return rows
-
-
-def estimate_ehk(table, bound, *, window=None, window_constant=None):
-    """Reconstruct e_HK from a phi table; returns (value, report).
+def estimate_ehk(table, bound: int, *, window=None, window_constant=None):
+    """Reconstruct e_HK from (q, phi) pairs; returns (value, report).
 
     The difference quotient is taken over the two largest q.  The
-    acceptance window defaults to K / q1 with q1 the smaller of the two,
-    K = window_constant (callers default it to 4 * sum of generator
-    degrees).  Raises AmbiguousReconstruction when no bounded-denominator
-    fraction lands inside the window.
+    acceptance window is ``window``, or K / q1 with q1 the smaller of the
+    two and K = window_constant (callers with an ideal pass 4 * sum of
+    generator degrees).  Raises AmbiguousReconstruction when no
+    bounded-denominator fraction lands inside the window.
     """
-    if isinstance(bound, DenominatorBound):
-        bound = bound.bound
-    rows = _rows_from(table)
+    rows = sorted((int(q), int(phi)) for q, phi in table)
     if len(rows) < 2:
         raise UserError("need at least two (q, phi) rows")
     (q1, phi1), (q2, phi2) = rows[-2], rows[-1]
@@ -102,10 +83,7 @@ def estimate_ehk(table, bound, *, window=None, window_constant=None):
     raw = Fraction(phi2 - phi1, q2 * q2 - q1 * q1)
     if window is None:
         if window_constant is None:
-            if hasattr(table, "ideal"):
-                window_constant = 4 * sum(table.ideal.degrees)
-            else:
-                raise UserError("need window or window_constant for raw tables")
+            raise UserError("need window or window_constant")
         window = Fraction(window_constant, q1)
     window = Fraction(window)
     value = rational_round(raw, bound, window)

@@ -51,9 +51,7 @@ class GradedRing:
                 relation = relation.scale(field.inv(lc))
             self._lt = lead
             # H = LT + tail, so LT == -tail in the quotient
-            self._tail = {
-                e: field.neg(c) for e, c in relation.terms.items() if e != lead
-            }
+            self._tail = {e: -c % field.p for e, c in relation.terms.items() if e != lead}
         self.relation = relation
         self._basis_cache = {}
         self._index_cache = {}
@@ -61,12 +59,6 @@ class GradedRing:
     @property
     def kind(self) -> str:
         return "free" if self.relation is None else "hypersurface"
-
-    @property
-    def relation_degree(self) -> int:
-        if self.relation is None:
-            raise UserError("free ring has no relation")
-        return self.relation.degree()
 
     def leading_relation_monomial(self):
         if self.relation is None:
@@ -191,19 +183,13 @@ def first_vanishing_degree(ring: GradedRing, gens, bound: int) -> int:
     In a standard-graded ring one vanishing graded piece forces all
     higher ones to vanish, so the first hit is returned immediately.
     """
-    from . import engine
+    from .engine import pieces
 
-    if ring.relation is None and ring.nvars == 2:
-        nonzero = [g for g in gens if not g.is_zero()]
-        colengths = (piece.colength for piece in engine.free2_pieces(ring.field, nonzero, bound))
-    else:
-        colengths = (engine.colength_of_generators(ring, gens, m) for m in range(bound + 1))
-    for m, colength in enumerate(colengths):
-        if colength == 0:
-            return m
+    for piece in pieces(ring, gens, bound):
+        if piece.colength == 0:
+            return piece.m
     raise NotPrimaryError(
-        f"no vanishing graded piece up to degree {bound}; ideal is not primary "
-        "(or raise the primarity bound)"
+        f"no vanishing graded piece up to degree {bound}; ideal is not primary"
     )
 
 
@@ -212,15 +198,20 @@ class IdealSpec:
     """A homogeneous primary ideal given by explicit generators.
 
     Construction checks homogeneity, records generator degrees, reduces
-    generators to normal form, and verifies primarity up to a bound
-    (default 2 * sum of generator degrees).
+    generators to normal form, and finds the primarity degree m0, the
+    first m with (R/I)_m = 0, searching m <= N(D-1)+1 with N = nvars and
+    D the largest degree among the generators and the relation.  That
+    bound holds for every primary I: I+(H) is primary in K[x_1..x_N] and
+    generated in degrees <= D, so over an infinite extension of K it
+    contains N general forms of degree D, a regular sequence whose
+    quotient vanishes above degree N(D-1); colengths do not change under
+    base change.
     """
 
     ring: GradedRing
     gens: tuple
     degrees: tuple = dc_field(init=False)
     primarity_degree: int = dc_field(init=False)
-    primarity_bound: int | None = None
 
     def __post_init__(self):
         gens = []
@@ -235,11 +226,9 @@ class IdealSpec:
             raise UserError("need at least two generators")
         self.gens = tuple(gens)
         self.degrees = tuple(g.degree() for g in gens)
-        bound = self.primarity_bound
-        if bound is None:
-            bound = 2 * sum(self.degrees)
-        if bound < sum(self.degrees):
-            raise UserError("primarity bound must be at least the degree sum")
+        relation = self.ring.relation
+        D = max(*self.degrees, 1 if relation is None else relation.degree())
+        bound = self.ring.nvars * (D - 1) + 1
         self.primarity_degree = first_vanishing_degree(self.ring, self.gens, bound)
 
     @property
@@ -258,9 +247,3 @@ class IdealSpec:
         gens = ", ".join(self.ring.poly_str(g) for g in self.gens)
         return f"({gens}) in {self.ring!r}"
 
-
-def check_primary(ideal: IdealSpec, bound: int) -> int:
-    """First m with (R/I)_m = 0; NotPrimaryError if none up to the bound."""
-    if bound < sum(ideal.degrees):
-        raise UserError("primarity bound must be at least the degree sum")
-    return first_vanishing_degree(ideal.ring, ideal.gens, bound)

@@ -39,10 +39,10 @@ def test_validate_prime_power():
 def test_monomial_survivor_counts():
     """(x,y)^[4] over F_2: count degree-m monomials outside (x^4, y^4)."""
     ideal = free_ideal(2, ("x", "y"))
-    assert engine.graded_piece_colength(ideal, 4, 3) == 4
-    assert engine.graded_piece_colength(ideal, 4, 5) == 2  # x^3 y^2, x^2 y^3
-    assert engine.graded_piece_colength(ideal, 4, 7) == 0
-    assert engine.graded_piece_colength(ideal, 4, -1) == 0
+    assert engine.degree_piece(ideal, 4, 3).colength == 4
+    assert engine.degree_piece(ideal, 4, 5).colength == 2  # x^3 y^2, x^2 y^3
+    assert engine.degree_piece(ideal, 4, 7).colength == 0
+    assert engine.degree_piece(ideal, 4, -1).colength == 0
 
 
 def test_degree_piece_consistency():
@@ -65,7 +65,7 @@ def test_hypersurface_against_ambient_oracle():
     for m, want in frozen.items():
         live = ambient_colength(relation, gens_q, 3, 5, m)
         assert live == want
-        assert engine.graded_piece_colength(ideal, 5, m) == want
+        assert engine.degree_piece(ideal, 5, m).colength == want
 
 
 def test_hk_value_fermat_q5():
@@ -96,7 +96,7 @@ def test_free_ring_dense_against_ambient_oracle():
         q = 5
         gen_dicts = [frobenius_terms(g.terms, q, 5) for g in gens]
         for m in range(0, 2 * q * max(ideal.degrees) + 2):
-            assert engine.graded_piece_colength(ideal, q, m) == ambient_colength(
+            assert engine.degree_piece(ideal, q, m).colength == ambient_colength(
                 None, gen_dicts, 2, 5, m
             )
 
@@ -150,17 +150,24 @@ def test_hard_cap_holds_on_high_degree_curve():
     assert row.cutoff == 94
 
 
-def test_hk_table_collects_rows():
-    ideal = free_ideal(2, ("x", "y"))
-    table = engine.hk_table(ideal, (1, 2, 4), keep_degrees=False)
-    assert [(r.q, r.phi) for r in table.sorted_rows()] == [(1, 1), (2, 4), (4, 16)]
-
-
 def test_syzygy_h0_profile_example():
     """h0 profile of Syz(x^3, xy^2, y^3) at q = 2: twists are (8, 10)."""
     ideal = free_ideal(2, ("x^3", "x*y^2", "y^3"))
-    values = {m: engine.syzygy_h0(ideal, 2, m) for m in (7, 8, 9, 10, 11)}
+    values = {m: engine.degree_piece(ideal, 2, m).syzygy_h0 for m in (7, 8, 9, 10, 11)}
     assert values == {7: 0, 8: 1, 9: 2, 10: 4, 11: 6}
+
+
+def test_primary_ideal_past_the_degree_sum_bound():
+    """(x, y) on x^5+y^5+z^5 first vanishes at degree 5, past 2 * (1 + 1);
+    the bound nvars * (D - 1) + 1 = 13 accepts it, and phi = 5 q^2."""
+    for p in (2, 3):
+        F = PrimeField(p)
+        names = ("x", "y", "z")
+        R = GradedRing(F, names, relation=parse_poly("x^5+y^5+z^5", names, F))
+        ideal = IdealSpec(R, (R.parse("x"), R.parse("y")))
+        assert ideal.primarity_degree == 5
+        for q in (p, p * p):
+            assert engine.hk_value(ideal, q, keep_degrees=False).phi == 5 * q * q
 
 
 def test_q_must_be_prime_power():

@@ -1,23 +1,23 @@
+import dataclasses
+
 import pytest
 
 from hilbertkunz.errors import UserError
-from hilbertkunz.field import FieldElement, FieldMismatchError, PrimeField, is_prime
+from hilbertkunz.field import PrimeField, is_prime
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
 def test_field_axioms(p):
-    """Spot-check the ring axioms and inverses on every residue."""
+    """Every nonzero residue has a canonical inverse, and it is unique."""
     F = PrimeField(p)
-    for a in range(p):
-        assert F.add(a, F.neg(a)) == 0
-        assert F.mul(a, 1) == a
-        if a:
-            assert F.mul(a, F.inv(a)) == 1
-    for a in range(p):
-        for b in range(p):
-            assert F.add(a, b) == (a + b) % p
-            assert F.mul(a, b) == (a * b) % p
-            assert F.sub(a, b) == F.add(a, F.neg(b))
+    inverses = set()
+    for a in range(1, p):
+        b = F.inv(a)
+        assert 0 < b < p
+        assert a * b % p == 1
+        assert F.inv(a + p) == b  # inverse depends only on the residue
+        inverses.add(b)
+    assert inverses == set(range(1, p))
 
 
 def test_rejects_non_prime():
@@ -42,20 +42,8 @@ def test_inverse_of_zero():
         F.inv(14)
 
 
-def test_element_wrapper():
-    F = PrimeField(5)
-    a = F.element(3)
-    b = F.element(4)
-    assert (a + b).value == 2
-    assert (a * b).value == 2
-    assert (-a).value == 2
-    assert a.inv().value == 2
-    assert not F.element(0)
-    with pytest.raises(FieldMismatchError):
-        a + PrimeField(7).element(1)
-
-
 def test_field_is_hashable_and_frozen():
     assert PrimeField(5) == PrimeField(5)
     assert len({PrimeField(5), PrimeField(5), PrimeField(7)}) == 2
-    assert isinstance(FieldElement(PrimeField(3), 2), FieldElement)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        PrimeField(5).p = 7

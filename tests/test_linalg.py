@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hilbertkunz.field import PrimeField
-from hilbertkunz.linalg import MatrixFF, RankBuilder, rank_gf2_generic, rank_of_array
+from hilbertkunz.linalg import RankBuilder
+
+from oracles import rank_mod_p
 
 
 def random_matrix(rng, rows, cols, p, density=0.5):
@@ -14,6 +16,22 @@ def random_matrix(rng, rows, cols, p, density=0.5):
             if rng.random() < density:
                 a[i, j] = rng.randint(1, p - 1)
     return a
+
+
+def dict_columns(a):
+    return [
+        {int(i): int(a[i, j]) for i in np.nonzero(a[:, j])[0]}
+        for j in range(a.shape[1])
+    ]
+
+
+def rank_of_array(a, field):
+    """Rank over F_p of a (rows x cols) array, fed column by column."""
+    a = np.asarray(a)
+    builder = RankBuilder(field, a.shape[0])
+    for col in dict_columns(a):
+        builder.add_column(col)
+    return builder.rank()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
@@ -39,19 +57,23 @@ def test_rank_permutation_invariant(p):
 
 
 def test_gf2_bitset_path_against_reference():
+    """Dict and int-bitset columns over GF(2) both match the slow reference."""
     rng = random.Random(2)
     F2 = PrimeField(2)
     for _ in range(200):
         rows = rng.randint(1, 20)
         cols = rng.randint(1, 20)
         a = random_matrix(rng, rows, cols, 2, density=rng.choice((0.1, 0.5, 0.9)))
-        assert rank_of_array(a, F2) == rank_gf2_generic(a)
+        want = rank_mod_p(dict_columns(a), 2)
+        assert rank_of_array(a, F2) == want
+        bits = RankBuilder(F2, rows)
+        for col in dict_columns(a):
+            bits.add_column(sum(1 << i for i in col))
+        assert bits.rank() == want
 
 
 def test_rank_against_fraction_free_reference():
     """Check the float64 echelon path against naive dict elimination."""
-    from oracles import rank_mod_p
-
     rng = random.Random(3)
     for p in (3, 5, 101, 32749):
         F = PrimeField(p)
@@ -59,36 +81,33 @@ def test_rank_against_fraction_free_reference():
             rows = rng.randint(1, 15)
             cols = rng.randint(1, 15)
             a = random_matrix(rng, rows, cols, p)
-            columns = [
-                {i: int(a[i, j]) for i in range(rows) if a[i, j]}
-                for j in range(cols)
-            ]
-            assert rank_of_array(a, F) == rank_mod_p(columns, p)
+            assert rank_of_array(a, F) == rank_mod_p(dict_columns(a), p)
 
 
 def test_streaming_matches_block_feed():
+    """rank() read between feeds follows the rank of the columns so far."""
     rng = random.Random(8)
     for p in (2, 5):
         F = PrimeField(p)
         a = random_matrix(rng, 30, 40, p)
-        b1 = RankBuilder(F, 30)
-        b1.add_columns(a)
-        b2 = RankBuilder(F, 30, batch=3)
-        for j in range(40):
-            b2.add_column({i: int(a[i, j]) for i in range(30) if a[i, j]})
-        assert b1.rank() == b2.rank()
+        columns = dict_columns(a)
+        builder = RankBuilder(F, 30)
+        for j, col in enumerate(columns):
+            builder.add_column(col)
+            assert builder.rank() == rank_mod_p(columns[: j + 1], p)
+        assert builder.rank() == rank_of_array(a, F)
 
 
 def test_known_ranks():
     F5 = PrimeField(5)
-    assert MatrixFF.identity(F5, 7).rank() == 7
-    assert MatrixFF.zeros(F5, 4, 6).rank() == 0
-    assert MatrixFF.zeros(F5, 4, 6).kernel_dim() == 6
+    assert rank_of_array(np.eye(7, dtype=np.int64), F5) == 7
+    zeros = np.zeros((4, 6), dtype=np.int64)
+    assert rank_of_array(zeros, F5) == 0
+    assert zeros.shape[1] - rank_of_array(zeros, F5) == 6  # kernel dimension
     # rank drops exactly over the field: [[1,2],[3,6]] is singular mod 5
-    m = MatrixFF.from_rows(F5, [[1, 2], [3, 6]])
-    assert m.rank() == 1
+    assert rank_of_array(np.array([[1, 2], [3, 6]]), F5) == 1
     # ... but [[1,2],[3,2]] (det = -4) is not
-    assert MatrixFF.from_rows(F5, [[1, 2], [3, 2]]).rank() == 2
+    assert rank_of_array(np.array([[1, 2], [3, 2]]), F5) == 2
 
 
 def test_characteristic_matters():
@@ -103,12 +122,35 @@ def test_large_prime_int64_fallback():
     F = PrimeField(p)
     rng = random.Random(5)
     a = random_matrix(rng, 8, 8, p)
-    from oracles import rank_mod_p
-
-    columns = [{i: int(a[i, j]) for i in range(8) if a[i, j]} for j in range(8)]
-    assert rank_of_array(a, F) == rank_mod_p(columns, p)
+    assert rank_of_array(a, F) == rank_mod_p(dict_columns(a), p)
     builder = RankBuilder(F, 8)
     assert builder._float_ok is False
+
+
+@pytest.mark.parametrize("p", [(1 << 29) - 3, (1 << 31) - 1])
+def test_int64_update_after_rank(p):
+    """Columns fed after a rank() read go through the int64 per-pivot update."""
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(20):
+        dim = rng.randint(2, 10)
+        columns = [
+            {i: rng.randint(1, p - 1) for i in range(dim) if rng.random() < 0.6}
+            for _ in range(rng.randint(2, dim + 2))
+        ]
+        # one column is a combination of two earlier ones: rank must not grow
+        j, k = rng.sample(range(len(columns)), 2)
+        a, b = rng.randint(1, p - 1), rng.randint(1, p - 1)
+        combo = {}
+        for col, s in ((columns[j], a), (columns[k], b)):
+            for i, c in col.items():
+                combo[i] = (combo.get(i, 0) + s * c) % p
+        columns.insert(rng.randint(max(j, k) + 1, len(columns)), combo)
+        builder = RankBuilder(F, dim)
+        assert builder._float_ok is False
+        for n, col in enumerate(columns, start=1):
+            builder.add_column(col)
+            assert builder.rank() == rank_mod_p(columns[:n], p)
 
 
 def test_empty_input():

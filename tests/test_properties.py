@@ -1,4 +1,4 @@
-"""Cross-route property tests on random primary binary forms.
+"""Cross-route property tests on random primary ideals.
 
 Each drawn ideal of F_p[x,y] is run through the streamed route
 (``free2_pieces``), the per-degree route (``_degree_piece``), the
@@ -6,13 +6,16 @@ ambient-ring elimination in ``oracles.py`` and the splitting type, and
 the four must agree.  p = 65521 runs the float64 backend on entries
 near 2^16; p = 2^31 - 1 takes the int64 backend.  For p > 5 only q = 1 is
 drawn: at q = p the degrees run into the tens of thousands.
+
+Each drawn ideal of a cone F_p[x,y,z]/(H), deg H in 2..6, is checked
+degree by degree against the same ambient elimination of (H, g_i^q).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbertkunz import engine
-from hilbertkunz.errors import NotPrimaryError
+from hilbertkunz.errors import NotPrimaryError, UserError
 from hilbertkunz.field import PrimeField
 from hilbertkunz.p1 import splitting_type
 from hilbertkunz.poly import Poly
@@ -78,3 +81,43 @@ def test_routes_agree_on_binary_forms(p, q, data):
             + sum(max(0, m - e + 1) for e in twists)
         )
         assert predicted == oracle[m], (m, twists)
+
+
+HYPERSURFACE_CASES = ((2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5))
+
+
+def _ternary_form(draw, field, d, k):
+    """A random form of degree d in x, y, z; the d-th power of variable k if zero."""
+    p = field.p
+    mons = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(mons), max_size=len(mons)))
+    terms = {e: c for e, c in zip(mons, coeffs) if c}
+    return Poly(field, 3, terms or {tuple(d if i == k else 0 for i in range(3)): 1})
+
+
+@st.composite
+def cone_ideals(draw, p):
+    """Two or three forms of degree 1..2 on a random cone; (x,y,z) if not primary."""
+    field = PrimeField(p)
+    names = ("x", "y", "z")
+    relation = _ternary_form(draw, field, draw(st.integers(2, 6)), 2)
+    ring = GradedRing(field, names, relation=relation)
+    count = draw(st.integers(2, 3))
+    gens = [_ternary_form(draw, field, draw(st.integers(1, 2)), k) for k in range(count)]
+    try:
+        return IdealSpec(ring, tuple(gens))
+    except UserError:  # not primary, or a generator that is a multiple of H
+        return IdealSpec(ring, tuple(ring.parse(v) for v in names))
+
+
+@pytest.mark.parametrize("p,q", HYPERSURFACE_CASES)
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_cone_colengths_match_ambient_oracle(p, q, data):
+    ideal = data.draw(cone_ideals(p))
+    row = engine.hk_value(ideal, q)
+    relation = ideal.ring.relation.terms
+    gens = [frobenius_terms(g.terms, q, p) for g in ideal.gens]
+    assert row.per_degree == {
+        m: ambient_colength(relation, gens, 3, p, m) for m in row.per_degree
+    }

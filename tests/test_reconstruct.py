@@ -24,9 +24,11 @@ def test_rational_round_examples():
 
 
 def test_default_denominator_bound():
-    assert default_denominator_bound(3, 3, 5, 3).bound == 2 * 2 * 3 * 125
+    assert default_denominator_bound(3, 3, 5, 3) == 2 * 2 * 3 * 125
+    bound = default_denominator_bound(1, 0, 5, 1)
+    assert bound == 0
     with pytest.raises(UserError):
-        default_denominator_bound(1, 0, 5, 1)
+        estimate_ehk([(5, 25), (25, 625)], bound, window_constant=4)
 
 
 def test_estimate_from_synthetic_quadratic():

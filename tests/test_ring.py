@@ -5,7 +5,7 @@ import pytest
 from hilbertkunz.errors import NotPrimaryError, UserError
 from hilbertkunz.field import PrimeField
 from hilbertkunz.poly import parse_poly
-from hilbertkunz.ring import GradedRing, IdealSpec, check_primary, first_vanishing_degree
+from hilbertkunz.ring import GradedRing, IdealSpec, first_vanishing_degree
 
 F5 = PrimeField(5)
 XYZ = ("x", "y", "z")
@@ -101,7 +101,9 @@ def test_not_primary_detected():
         IdealSpec(R, (R.parse("x"), R.parse("x^2")))  # misses y entirely
     ideal = IdealSpec(R, (R.parse("x"), R.parse("y")))
     assert ideal.primarity_degree == 1  # (R/(x,y))_m = 0 first at m = 1
-    assert check_primary(ideal, 10) == 1
+    assert first_vanishing_degree(R, ideal.gens, 10) == 1
+    with pytest.raises(NotPrimaryError):
+        first_vanishing_degree(R, (R.parse("x"), R.parse("x^2")), 10)
 
 
 def test_first_vanishing_degree_values():
