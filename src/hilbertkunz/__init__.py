@@ -18,7 +18,7 @@ from .p1 import (
     splitting_type,
     verify_h0_profile,
 )
-from .poly import Poly, graded_piece_basis, parse_poly
+from .poly import Poly, parse_poly
 from .reconstruct import (
     AmbiguousReconstruction,
     QuadraticIrrational,
@@ -67,7 +67,6 @@ __all__ = [
     "ehk_strongly_semistable",
     "ehk_t2",
     "estimate_ehk",
-    "graded_piece_basis",
     "hk_value",
     "hn_from_splittings",
     "nu2_from_ehk",

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import CapExceededError, InternalError, UserError
 from .field import PrimeField
 from .linalg import RankBuilder
+from .poly import Poly
 from .ring import GradedRing, IdealSpec
 
 
@@ -42,14 +43,24 @@ def validate_prime_power(p: int, q: int) -> int:
 
 
 def frobenius_power_gens(ideal: IdealSpec, q: int) -> tuple:
-    """Reduced generators of the q-th Frobenius power."""
+    """Reduced generators of the q-th Frobenius power.
+
+    Over F_p, g^q = g(x_1^q, ..., x_N^q) since c^q = c, so each power is
+    one substitution e -> q*e followed by one reduction; the normal form
+    modulo a single relation is unique.
+    """
     validate_prime_power(ideal.field.p, q)
-    return tuple(ideal.ring.pow_reduced(g, q) for g in ideal.gens)
+    ring = ideal.ring
+    powers = ({tuple(q * a for a in e): c for e, c in g.terms.items()} for g in ideal.gens)
+    return tuple(ring.reduce(Poly(ring.field, ring.nvars, terms)) for terms in powers)
 
 
-def _generic_columns(ring: GradedRing, g, m: int):
-    """Columns of the multiplication-by-g map as {row: coeff} dicts."""
-    d = g.degree()
+def _generic_columns(ring: GradedRing, g, d: int, m: int):
+    """Columns of the multiplication-by-g map R_{m-d} -> R_m as {row: coeff} dicts.
+
+    d is g's declared degree, so a generator reduced to zero still yields
+    its dim R_{m-d} (empty) columns.
+    """
     index = ring.basis_index(m)
     reduce_needed = ring.relation is not None
     gterms = g.terms
@@ -78,25 +89,20 @@ class DegreePiece:
 def _degree_piece(ring: GradedRing, gens, degrees, m: int) -> DegreePiece:
     """The degree-m map (+)_i R_{m - degrees[i]} -> R_m, assembled and eliminated whole."""
     rows = ring.hilbert_dim(m)
-    source_dims = [ring.hilbert_dim(m - d) for d in degrees]
-    cols = sum(source_dims)
+    cols = sum(ring.hilbert_dim(m - d) for d in degrees)
     if rows == 0 or cols == 0:
         return DegreePiece(m, rows, cols, 0, rows, cols)
     builder = RankBuilder(ring.field, rows)
     fed = 0
-    for g, dim_i in zip(gens, source_dims):
-        if dim_i == 0:
-            continue
-        for col in _generic_columns(ring, g, m):
+    for g, d in zip(gens, degrees):
+        for col in _generic_columns(ring, g, d, m):
             builder.add_column(col)
-        fed += dim_i
-    if fed != cols:
-        raise InternalError("column count mismatch while building the map")
+            fed += 1
     rank = builder.rank()
     colength = rows - rank
     h0 = cols - rank
     # rank-nullity form of the alternating sum; guards indexing errors
-    if colength != rows - cols + h0:
+    if colength != rows - fed + h0:
         raise InternalError("alternating-sum identity violated")
     return DegreePiece(m, colength, h0, rank, rows, cols)
 

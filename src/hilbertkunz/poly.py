@@ -13,9 +13,6 @@ Whitespace is ignored; coefficients are integers reduced mod p.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import comb
-
 from .errors import ParseError, UserError
 from .field import PrimeField
 
@@ -41,28 +38,6 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b, assuming divisibility."""
     return tuple(x - y for x, y in zip(a, b))
-
-
-@lru_cache(maxsize=4096)
-def graded_piece_basis(nvars: int, m: int) -> tuple:
-    """All degree-m monomials in nvars variables, descending grevlex."""
-    if nvars <= 0:
-        raise UserError("nvars must be positive")
-    if m < 0:
-        return ()
-    mons = []
-
-    def rec(prefix, remaining, k):
-        if k == 1:
-            mons.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, k - 1)
-
-    rec((), m, nvars)
-    mons.sort(key=grevlex_key, reverse=True)
-    assert len(mons) == comb(m + nvars - 1, nvars - 1)
-    return tuple(mons)
 
 
 class Poly:

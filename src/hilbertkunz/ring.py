@@ -12,14 +12,16 @@ from math import comb
 
 from .errors import NotPrimaryError, UserError
 from .field import PrimeField
-from .poly import (
-    Poly,
-    graded_piece_basis,
-    grevlex_key,
-    monomial_div,
-    monomial_divides,
-    monomial_mul,
-)
+from .poly import Poly, grevlex_key, monomial_div, monomial_divides, monomial_mul
+
+
+def _monomials(n: int, m: int) -> list:
+    """Every exponent tuple of total degree m in n variables."""
+    if m < 0 or (n == 0 and m > 0):
+        return []
+    if n <= 1:
+        return [(m,) * n]
+    return [(a,) + rest for a in range(m + 1) for rest in _monomials(n - 1, m - a)]
 
 
 class GradedRing:
@@ -56,15 +58,6 @@ class GradedRing:
         self._basis_cache = {}
         self._index_cache = {}
 
-    @property
-    def kind(self) -> str:
-        return "free" if self.relation is None else "hypersurface"
-
-    def leading_relation_monomial(self):
-        if self.relation is None:
-            raise UserError("free ring has no relation")
-        return self._lt
-
     # -- graded pieces -------------------------------------------------
 
     def hilbert_dim(self, m: int) -> int:
@@ -80,20 +73,32 @@ class GradedRing:
         return dim
 
     def basis(self, m: int) -> tuple:
-        """Monomial basis of the degree-m piece, descending grevlex.
+        """Monomial basis of the degree-m piece, in no particular order.
 
-        For the hypersurface kind: degree-m monomials not divisible by
-        the leading monomial of H.
+        On a hypersurface ring these are the standard monomials: the
+        degree-m monomials e not divisible by l = LT(H).  They split
+        disjointly by the first index i with e_i < l_i: e_j = l_j + f_j
+        for j < i, e_i = a < l_i, and (f_1..f_{i-1}, e_{i+1}..) is any
+        monomial of degree m - (l_1 + .. + l_{i-1}) - a in N-1 variables,
+        so the listing costs the size of the basis.
         """
         if m < 0:
             return ()
         cached = self._basis_cache.get(m)
         if cached is not None:
             return cached
-        mons = graded_piece_basis(self.nvars, m)
-        if self.relation is not None:
+        if self.relation is None:
+            mons = tuple(_monomials(self.nvars, m))
+        else:
             lt = self._lt
-            mons = tuple(e for e in mons if not monomial_divides(lt, e))
+            mons = []
+            for i, li in enumerate(lt):
+                head = lt[:i]
+                rest = m - sum(head)
+                for a in range(min(li, rest + 1)):
+                    for f in _monomials(self.nvars - 1, rest - a):
+                        mons.append(tuple(map(sum, zip(head, f))) + (a,) + f[i:])
+            mons = tuple(mons)
         assert len(mons) == self.hilbert_dim(m)
         self._basis_cache[m] = mons
         return mons
@@ -150,18 +155,6 @@ class GradedRing:
     def reduce(self, f: Poly) -> Poly:
         """normal_form on hypersurface rings, identity on free rings."""
         return f if self.relation is None else self.normal_form(f)
-
-    def pow_reduced(self, f: Poly, k: int) -> Poly:
-        """f^k reduced after every multiplication to bound term counts."""
-        result = Poly.constant(self.field, self.nvars, 1)
-        base = self.reduce(f)
-        while k:
-            if k & 1:
-                result = self.reduce(result * base)
-            if k > 1:
-                base = self.reduce(base * base)
-            k >>= 1
-        return result
 
     def parse(self, text: str) -> Poly:
         from .poly import parse_poly

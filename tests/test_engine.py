@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hilbertkunz import engine
-from hilbertkunz.errors import CapExceededError, UserError
+from hilbertkunz.errors import CapExceededError, InternalError, UserError
 from hilbertkunz.field import PrimeField
 from hilbertkunz.poly import Poly, parse_poly
 from hilbertkunz.ring import GradedRing, IdealSpec
@@ -25,6 +25,47 @@ def fermat_ideal(p=5):
     names = ("x", "y", "z")
     R = GradedRing(F, names, relation=parse_poly("x^3+y^3+z^3", names, F))
     return IdealSpec(R, tuple(R.parse(v) for v in names))
+
+
+CONE_GENS = ("x + 2y + 3z", "x*y + 4z^2", "y^2 + x*z + 2*y*z")
+
+
+def test_frobenius_power_gens_matches_plain_power():
+    """The substitution g(x^q) equals g**q by plain multiplication, reduced."""
+    cases = (
+        ("x^3+y^3+z^3", CONE_GENS),
+        ("x^2*y+y^3+z^3", CONE_GENS),  # LT(H) = x^2*y, not a pure power
+        (None, ("x^2 + 3x*y", "y^3 + 2x^2*y", "x^3 + x*y^2")),
+    )
+    for relation, gen_texts in cases:
+        names = ("x", "y", "z") if relation else ("x", "y")
+        rel = parse_poly(relation, names, F5) if relation else None
+        R = GradedRing(F5, names, relation=rel)
+        ideal = IdealSpec(R, tuple(R.parse(t) for t in gen_texts))
+        for q in (1, 5, 25):
+            assert engine.frobenius_power_gens(ideal, q) == tuple(R.reduce(g**q) for g in ideal.gens)
+
+
+def test_degree_piece_counts_the_columns_it_feeds(monkeypatch):
+    ideal = fermat_ideal()
+    R = ideal.ring
+    full = R.basis
+    monkeypatch.setattr(R, "basis", lambda k: full(k)[1:] if k == 1 else full(k))
+    with pytest.raises(InternalError):
+        engine.degree_piece(ideal, 1, 2)
+
+
+def test_zero_frobenius_power_keeps_its_columns():
+    """(x,y,z) on F_2[x,y,z]/(x^2) at q = 2: x^2 reduces to zero."""
+    names = ("x", "y", "z")
+    R = GradedRing(F2, names, relation=parse_poly("x^2", names, F2))
+    ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
+    assert engine.frobenius_power_gens(ideal, 2)[0].is_zero()
+    gens = [frobenius_terms(g.terms, 2, 2) for g in ideal.gens]
+    for m in range(7):
+        piece = engine.degree_piece(ideal, 2, m)
+        assert piece.colength == ambient_colength({(2, 0, 0): 1}, gens, 3, 2, m)
+        assert piece.dim_source == 3 * R.hilbert_dim(m - 2)
 
 
 def test_validate_prime_power():

@@ -1,11 +1,15 @@
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilbertkunz.errors import NotPrimaryError, UserError
 from hilbertkunz.field import PrimeField
-from hilbertkunz.poly import parse_poly
+from hilbertkunz.poly import Poly, parse_poly
 from hilbertkunz.ring import GradedRing, IdealSpec, first_vanishing_degree
+
+from oracles import degree_monomials
 
 F5 = PrimeField(5)
 XYZ = ("x", "y", "z")
@@ -18,7 +22,7 @@ def fermat_ring(p=5):
 
 def test_free_ring_basics():
     R = GradedRing(F5, ("x", "y"))
-    assert R.kind == "free"
+    assert R.relation is None
     assert [R.hilbert_dim(m) for m in range(5)] == [1, 2, 3, 4, 5]
     f = R.parse("x^2+y^2")
     assert R.reduce(f) == f  # identity on the free ring
@@ -72,17 +76,38 @@ def test_normal_form_kills_relation_multiples():
 
 def test_basis_excludes_leading_monomial_multiples():
     R = fermat_ring()
-    lt = R.leading_relation_monomial()
+    lt = R.relation.leading_monomial()
     for m in range(3, 10):
         for e in R.basis(m):
             assert not all(a <= b for a, b in zip(lt, e))
 
 
-def test_pow_reduced_matches_naive():
-    R = fermat_ring()
-    f = R.parse("x + 2y + z")
-    for k in (1, 2, 5, 7):
-        assert R.pow_reduced(f, k) == R.normal_form(f**k)
+def test_free_ring_basis_counts():
+    for n in (1, 2, 3, 4):
+        R = GradedRing(F5, ("x", "y", "z", "w")[:n])
+        for m in range(8):
+            basis = R.basis(m)
+            assert len(basis) == len(set(basis)) == comb(m + n - 1, n - 1)
+            assert all(len(e) == n and sum(e) == m for e in basis)
+
+
+@st.composite
+def monomial_relations(draw):
+    """A monomial x^l in 1..4 variables, l in {0..3}^n not all zero."""
+    n = draw(st.integers(1, 4))
+    lead = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    return tuple(lead)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(lead=monomial_relations(), m=st.integers(0, 12))
+def test_basis_is_the_standard_monomials(lead, m):
+    n = len(lead)
+    R = GradedRing(F5, [f"x{i}" for i in range(n)], relation=Poly.monomial(F5, lead))
+    basis = R.basis(m)
+    expected = {e for e in degree_monomials(n, m) if not all(a <= b for a, b in zip(lead, e))}
+    assert len(basis) == len(set(basis)) == R.hilbert_dim(m)
+    assert set(basis) == expected
 
 
 def test_ideal_spec_validation():
