@@ -6,12 +6,13 @@ Degree m is read from the rank of the multiplication map
 
 with g_i the reduced q-th generator powers, in monomial coordinates.
 The colength of the degree-m piece of R/(g_1, ..., g_n) is dim R_m - rank,
-and the kernel dimension is h^0(Syz(g_1..g_n)(m)).  On the free ring
-K[x,y] the degree-m map is the degree-(m-1) map plus one column per
-generator, so one elimination per q streams every degree's rank
-(``free2_pieces``); other rings eliminate each degree's map on its own
-(``_degree_piece``).  ``pieces`` is the one place that picks the route,
-for ``hk_value`` and the primarity check alike.  The rank-nullity form
+and the kernel dimension is h^0(Syz(g_1..g_n)(m)).  On K[x,y], and on a
+cone K[x,y,z]/(H) whose H has a pure-power term, the degree-m map is the
+degree-(m-1) map plus a few new columns, so one elimination per q
+streams every degree's rank (``_streamed_pieces``); other rings
+eliminate each degree's map on its own (``_degree_piece``).  ``pieces``
+is the one place that picks the route, for ``hk_value``, the splitting
+layer and the primarity check alike.  The rank-nullity form
 of the alternating sum is asserted for every piece as an indexing
 cross-check.
 """
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CapExceededError, InternalError, UserError
-from .field import PrimeField
 from .linalg import RankBuilder
 from .poly import Poly
 from .ring import GradedRing, IdealSpec
@@ -107,32 +107,49 @@ def _degree_piece(ring: GradedRing, gens, degrees, m: int) -> DegreePiece:
     return DegreePiece(m, colength, h0, rank, rows, cols)
 
 
-def free2_pieces(field: PrimeField, gens, top: int):
-    """Yield the DegreePiece of K[x,y]/(gens) for m = 0..top from one elimination.
+def _streamed_pieces(ring: GradedRing, gens, top: int):
+    """Yield the DegreePiece of R/(gens) for m = 0..top from one elimination.
 
-    With rows indexed by y-exponent, the column of y^j x^(m-D-j) * g is g's
-    coefficient vector shifted by j in every degree m, so the degree-m map
-    is the degree-(m-1) map plus the column y^(m-D) * g per generator of
-    degree D <= m.  Over GF(2) that column is the int bits(g) << (m-D).
+    R is K[x,y], or a cone K[x,y,z]/(H) with LT(H) = x^h.  H is then monic
+    in x, so R is free over K[y,z] on 1, x, .., x^(h-1) and multiplication
+    by y is injective.  Index the rows of every degree's map by
+    (l, t) -> t*h + l for x^l y^a z^t: y keeps the index, so the degree-m
+    map is the degree-(m-1) map plus the columns z^b * NF(x^k g), one per
+    generator g of degree D and k < h with D + k + b = m.  On K[x,y],
+    h = 1, t is the y-exponent and x takes the part of y.  Multiplying by
+    z keeps monomials standard, so each column is NF(x^k g) shifted by h*b;
+    over GF(2) that is the int bits(NF(x^k g)) << (h*b).
     """
+    p = ring.field.p
+    free = ring.relation is None
+    h = 1 if free else ring.relation.degree()
     degrees = [g.degree() for g in gens]
-    if field.p == 2:
-        vecs = [sum(1 << e[1] for e in g.terms) for g in gens]
-    else:
-        vecs = [
-            np.array([g.terms.get((d - b, b), 0) for b in range(d + 1)], dtype=np.int64)
-            for g, d in zip(gens, degrees)
-        ]
-    builder = RankBuilder(field, top + 1)
+    sources = []  # (coefficient vector of NF(x^k g), its degree D + k)
+    for g, d in zip(gens, degrees):
+        for k in range(h):
+            terms = g.terms if k == 0 else ring.reduce_terms(
+                {(e[0] + k,) + e[1:]: c for e, c in g.terms.items()})
+            at = {e[-1] * h + (0 if free else e[0]): c for e, c in terms.items()}
+            if p == 2:
+                vec = sum(1 << r for r in at)
+            else:
+                vec = np.zeros(h * (d + k + 1), dtype=np.int64)
+                vec[list(at)] = list(at.values())
+            sources.append((vec, d + k))
+    # dim R_j; R is free over K[y,z] on 1, .., x^(h-1), so from j = h-1 on it grows by h
+    dims = [ring.hilbert_dim(j) for j in range(h)]
+    dims += range(dims[-1] + h, dims[-1] + h * (top - h + 2), h)
+    builder = RankBuilder(ring.field, h * (top + 1))
     fed = 0
     for m in range(top + 1):
-        for vec, d in zip(vecs, degrees):
+        for vec, d in sources:
             if d <= m:
-                builder.add_column(vec << (m - d) if field.p == 2 else np.pad(vec, (m - d, 0)))
+                shift = h * (m - d)
+                builder.add_column(vec << shift if p == 2 else np.pad(vec, (shift, 0)))
                 fed += 1
         rank = builder.rank()
-        rows = m + 1
-        cols = sum(m - d + 1 for d in degrees if d <= m)
+        rows = dims[m]
+        cols = sum(dims[m - d] for d in degrees if d <= m)
         colength = rows - rank
         h0 = cols - rank
         # rank-nullity form of the alternating sum; guards indexing errors
@@ -152,12 +169,26 @@ def degree_piece(ideal: IdealSpec, q: int, m: int) -> DegreePiece:
 def pieces(ring: GradedRing, gens, top: int):
     """DegreePiece of R/(gens) for m = 0..top; zero generators are dropped.
 
-    The only place a route is chosen: one streamed echelon on K[x,y],
-    one map per degree on every other ring.
+    The only place a route is chosen: one streamed echelon on K[x,y] and
+    on a cone K[x,y,z]/(H) where H has a pure-power term x_i^h (the
+    variables are reordered so that x_i comes first, which changes no
+    colength or h^0), one map per degree on every other ring.
     """
     gens = [g for g in gens if not g.is_zero()]
     if ring.relation is None and ring.nvars == 2:
-        return free2_pieces(ring.field, gens, top)
+        return _streamed_pieces(ring, gens, top)
+    H = ring.relation
+    if H is not None and ring.nvars == 3:
+        h = H.degree()
+        pure = [i for i in range(3) if tuple(h * (j == i) for j in range(3)) in H.terms]
+        if pure:
+            order = (pure[0],) + tuple(j for j in range(3) if j != pure[0])
+
+            def move(f):
+                return Poly(f.field, 3, {tuple(e[j] for j in order): c for e, c in f.terms.items()})
+
+            cone = GradedRing(ring.field, [ring.vars[j] for j in order], move(H))
+            return _streamed_pieces(cone, [cone.reduce(move(g)) for g in gens], top)
     degrees = [g.degree() for g in gens]
     return (_degree_piece(ring, gens, degrees, m) for m in range(top + 1))
 

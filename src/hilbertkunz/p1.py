@@ -56,7 +56,7 @@ def splitting_type(ideal: IdealSpec, q: int) -> SplittingType:
     twists = []
     prev_h0 = 0
     prev_delta = 0
-    for piece in engine.free2_pieces(ideal.field, gens_q, cap):
+    for piece in engine.pieces(ideal.ring, gens_q, cap):
         m, h0 = piece.m, piece.syzygy_h0
         delta = h0 - prev_h0
         new = delta - prev_delta
@@ -164,7 +164,7 @@ def verify_h0_profile(ideal: IdealSpec, q: int, hn: HNData) -> ProfileReport:
         acc_w += r * v
         prefix_rank.append(acc_r)
         prefix_wsum.append(acc_w)
-    for piece in engine.free2_pieces(ideal.field, gens_q, top):
+    for piece in engine.pieces(ideal.ring, gens_q, top):
         m, h0 = piece.m, piece.syzygy_h0
         expected = sum(max(0, m - e + 1) for e in twists)
         if h0 != expected:

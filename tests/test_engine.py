@@ -211,6 +211,22 @@ def test_primary_ideal_past_the_degree_sum_bound():
             assert engine.hk_value(ideal, q, keep_degrees=False).phi == 5 * q * q
 
 
+def test_cones_with_a_pure_power_take_the_streamed_route(monkeypatch):
+    """With the per-degree route made to fail, IdealSpec and hk_value at q = p
+    still succeed on cones whose H has a pure-power term, reordered or not."""
+
+    def refuse(*args):
+        raise AssertionError("per-degree route taken")
+
+    monkeypatch.setattr(engine, "_degree_piece", refuse)
+    names = ("x", "y", "z")
+    for p, relation, phi in ((5, "x^3+y^3+z^3", 55), (7, "x^3-y^2*z", 113), (5, "x^2*y+y^3+z^3", 55)):
+        F = PrimeField(p)
+        R = GradedRing(F, names, relation=parse_poly(relation, names, F))
+        ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
+        assert engine.hk_value(ideal, p).phi == phi
+
+
 def test_q_must_be_prime_power():
     ideal = free_ideal(5, ("x", "y"))
     with pytest.raises(UserError):

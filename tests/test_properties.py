@@ -1,14 +1,18 @@
 """Cross-route property tests on random primary ideals.
 
 Each drawn ideal of F_p[x,y] is run through the streamed route
-(``free2_pieces``), the per-degree route (``_degree_piece``), the
+(``engine.pieces``), the per-degree route (``_degree_piece``), the
 ambient-ring elimination in ``oracles.py`` and the splitting type, and
 the four must agree.  p = 65521 runs the float64 backend on entries
 near 2^16; p = 2^31 - 1 takes the int64 backend.  For p > 5 only q = 1 is
 drawn: at q = p the degrees run into the tens of thousands.
 
 Each drawn ideal of a cone F_p[x,y,z]/(H), deg H in 2..6, is checked
-degree by degree against the same ambient elimination of (H, g_i^q).
+degree by degree against the same ambient elimination of (H, g_i^q),
+and ``engine.pieces`` against ``_degree_piece``.  A random H may have
+an x^h, a y^h or a z^h term or none, so the draws reach the streamed
+route with and without the variable reordering, and the per-degree
+fallback; ``test_cone_routes_agree`` pins one case of each.
 """
 
 import pytest
@@ -18,7 +22,7 @@ from hilbertkunz import engine
 from hilbertkunz.errors import NotPrimaryError, UserError
 from hilbertkunz.field import PrimeField
 from hilbertkunz.p1 import splitting_type
-from hilbertkunz.poly import Poly
+from hilbertkunz.poly import Poly, parse_poly
 from hilbertkunz.ring import GradedRing, IdealSpec
 
 from oracles import ambient_colength, frobenius_terms
@@ -46,6 +50,12 @@ def binary_ideals(draw, p):
         return IdealSpec(ring, tuple(gens) + powers)
 
 
+def _per_degree_pieces(ring, gens, top):
+    """The per-degree route on the nonzero generators, which is what ``pieces`` feeds."""
+    gens = [g for g in gens if not g.is_zero()]
+    return [engine._degree_piece(ring, gens, [g.degree() for g in gens], m) for m in range(top + 1)]
+
+
 def _oracle_colengths(ideal, q, top):
     p = ideal.field.p
     gens = [frobenius_terms(g.terms, q, p) for g in ideal.gens]
@@ -65,7 +75,7 @@ def test_routes_agree_on_binary_forms(p, q, data):
     # streamed pieces equal the independent per-degree pieces
     gens_q = engine.frobenius_power_gens(ideal, q)
     degrees_q = [q * d for d in ideal.degrees]
-    streamed = list(engine.free2_pieces(ideal.field, gens_q, last))
+    streamed = list(engine.pieces(ideal.ring, gens_q, last))
     assert streamed == [engine._degree_piece(ideal.ring, gens_q, degrees_q, m) for m in range(last + 1)]
 
     # hk_value's per-degree colengths equal the ambient elimination
@@ -121,3 +131,36 @@ def test_cone_colengths_match_ambient_oracle(p, q, data):
     assert row.per_degree == {
         m: ambient_colength(relation, gens, 3, p, m) for m in row.per_degree
     }
+    gens_q = engine.frobenius_power_gens(ideal, q)
+    last = max(row.per_degree)
+    assert list(engine.pieces(ideal.ring, gens_q, last)) == _per_degree_pieces(ideal.ring, gens_q, last)
+
+
+CONES = (
+    (5, "x^3+y^3+z^3"),  # LT(H) = x^3 already
+    (7, "x^3-y^2*z"),  # the cusp, LT(H) = x^3
+    (5, "x^2*y+y^3+z^3"),  # y is moved first
+    (3, "x*y^2+x^2*z+z^3"),  # z is moved first
+    (2, "x^2"),  # h = 2, not a domain; x^[2] reduces to zero
+    (2, "x^2*y+y^2*z+z^2*x"),  # the Klein cubic: no pure power, per-degree route
+    (3, "x^2*y+y^2*z+z^2*x"),
+)
+
+
+@pytest.mark.parametrize("gen_texts", (("x", "y", "z"), ("x+y", "y^2", "z^2")))
+@pytest.mark.parametrize("p,relation", CONES)
+def test_cone_routes_agree(p, relation, gen_texts):
+    """pieces equals _degree_piece piece for piece, and the ambient elimination, at q = 1 and p."""
+    field = PrimeField(p)
+    names = ("x", "y", "z")
+    ring = GradedRing(field, names, relation=parse_poly(relation, names, field))
+    ideal = IdealSpec(ring, tuple(ring.parse(t) for t in gen_texts))
+    for q in (1, p):
+        gens_q = engine.frobenius_power_gens(ideal, q)
+        last = max(engine.hk_value(ideal, q).per_degree)
+        streamed = list(engine.pieces(ring, gens_q, last))
+        assert streamed == _per_degree_pieces(ring, gens_q, last)
+        gens = [frobenius_terms(g.terms, q, p) for g in ideal.gens]
+        assert [piece.colength for piece in streamed] == [
+            ambient_colength(ring.relation.terms, gens, 3, p, m) for m in range(last + 1)
+        ]
