@@ -71,7 +71,7 @@ def criterion_1() -> CriterionResult:
         for p, qs in ((2, (2, 4, 8, 16)), (3, (3, 9, 27))):
             ideal = _ideal(_free_ring(p), ("x", "y"))
             for q in qs:
-                phi = engine.hk_value(ideal, q, keep_degrees=False).phi
+                phi = engine.hk_value(ideal, q).phi
                 if phi != q * q:
                     return False, f"p={p}, q={q}: phi={phi} != {q * q}", None
                 checked += 1
@@ -106,7 +106,7 @@ def criterion_2(trials: int = 50, seed: int = 20260823) -> CriterionResult:
             mono = _random_monomial_ideal(rng)
             ideal = IdealSpec(ring, _monomial_gens(ring, mono))
             for q in (2, 4, 8, 16, 32, 64):
-                phi = engine.hk_value(ideal, q, keep_degrees=False).phi
+                phi = engine.hk_value(ideal, q).phi
                 expect = staircase_colength(mono, q)
                 if phi != expect:
                     return (
@@ -197,13 +197,13 @@ def _plane_cubic_reconstruction(p, relation_text, q_list, bound, escalate_q=None
     ring = GradedRing(field, names, relation=parse_poly(relation_text, names, field))
     ideal = _ideal(ring, names)
     window_constant = 4 * sum(ideal.degrees)
-    rows = [(q, engine.hk_value(ideal, q, keep_degrees=False).phi) for q in q_list]
+    rows = [(q, engine.hk_value(ideal, q).phi) for q in q_list]
     try:
         return estimate_ehk(rows, bound, window_constant=window_constant)
     except AmbiguousReconstruction:
         if escalate_q is None:
             raise
-        rows.append((escalate_q, engine.hk_value(ideal, escalate_q, keep_degrees=False).phi))
+        rows.append((escalate_q, engine.hk_value(ideal, escalate_q).phi))
         return estimate_ehk(rows, bound, window_constant=window_constant)
 
 

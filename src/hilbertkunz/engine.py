@@ -92,7 +92,7 @@ def _degree_piece(ring: GradedRing, gens, degrees, m: int) -> DegreePiece:
     cols = sum(ring.hilbert_dim(m - d) for d in degrees)
     if rows == 0 or cols == 0:
         return DegreePiece(m, rows, cols, 0, rows, cols)
-    builder = RankBuilder(ring.field, rows)
+    builder = RankBuilder(ring.field)
     fed = 0
     for g, d in zip(gens, degrees):
         for col in _generic_columns(ring, g, d, m):
@@ -139,7 +139,7 @@ def _streamed_pieces(ring: GradedRing, gens, top: int):
     # dim R_j; R is free over K[y,z] on 1, .., x^(h-1), so from j = h-1 on it grows by h
     dims = [ring.hilbert_dim(j) for j in range(h)]
     dims += range(dims[-1] + h, dims[-1] + h * (top - h + 2), h)
-    builder = RankBuilder(ring.field, h * (top + 1))
+    builder = RankBuilder(ring.field)
     fed = 0
     for m in range(top + 1):
         for vec, d in sources:
@@ -203,42 +203,30 @@ class HKRow:
     per_degree: dict = dc_field(default_factory=dict)
 
 
-def hk_value(
-    ideal: IdealSpec,
-    q: int,
-    *,
-    consecutive_zeros: int | None = None,
-    hard_cap: int | None = None,
-    keep_degrees: bool = True,
-) -> HKRow:
+def hk_value(ideal: IdealSpec, q: int) -> HKRow:
     """phi(I, q) = length(R/I^[q]) by summing per-degree colengths.
 
     One vanishing graded piece forces all higher pieces to vanish, so
-    summation stops at the first run of ``consecutive_zeros`` zero degrees
-    (default: sum of the generator degrees).  A primary ideal never hits
-    the cap q*m0 + nvars*(q-1) + consecutive_zeros, m0 the primarity
-    degree: write each exponent as a_i = q b_i + r_i with r_i < q; in
-    degree q*m0 + nvars*(q-1) and above, sum b_i >= m0, so x^b lies in I
-    and the monomial in I^[q].
+    summation stops at the first run of z zero degrees, z the sum of the
+    generator degrees (at least 1); ``per_degree`` holds every colength
+    summed.  A primary ideal never hits the cap q*m0 + nvars*(q-1) + z,
+    m0 the primarity degree: write each exponent as a_i = q b_i + r_i
+    with r_i < q; in degree q*m0 + nvars*(q-1) and above, sum b_i >= m0,
+    so x^b lies in I and the monomial in I^[q].
     """
     validate_prime_power(ideal.field.p, q)
-    if consecutive_zeros is None:
-        consecutive_zeros = max(1, sum(ideal.degrees))
-    if hard_cap is None:
-        hard_cap = q * ideal.primarity_degree + ideal.ring.nvars * (q - 1) + consecutive_zeros
+    consecutive_zeros = max(1, sum(ideal.degrees))
+    hard_cap = q * ideal.primarity_degree + ideal.ring.nvars * (q - 1) + consecutive_zeros
     per_degree = {}
     phi = 0
     zeros_run = 0
     for piece in pieces(ideal.ring, frobenius_power_gens(ideal, q), hard_cap):
         c = piece.colength
-        if keep_degrees:
-            per_degree[piece.m] = c
+        per_degree[piece.m] = c
         phi += c
         zeros_run = zeros_run + 1 if c == 0 else 0
         if zeros_run >= consecutive_zeros:
             return HKRow(q=q, phi=phi, cutoff=piece.m - zeros_run + 1, per_degree=per_degree)
     raise CapExceededError(
-        f"no vanishing tail up to degree {hard_cap} for q={q}; "
-        "non-primary input or raise the cap"
+        f"no vanishing tail up to degree {hard_cap} for q={q}; non-primary input"
     )
-

@@ -1,18 +1,19 @@
 """Exact rank over a prime field: the one entry point is :class:`RankBuilder`.
 
 Vectors are fed one at a time with ``add_column``; ``rank()`` may be read
-between feeds, so one builder serves a growing matrix.  Two elimination
-backends sit behind it:
+between feeds, so one builder serves a growing matrix.  A vector may have
+any length: it is read as padded with zeros, and the width of the matrix
+is the longest vector fed so far.  Two elimination backends sit behind it:
 
 * p == 2: column vectors are kept as Python integers (bitsets) and
   reduced against a pivot dictionary.  This is plain Gaussian
   elimination; it is fast on the sparse columns the multiplication
   matrices produce and exact by construction.
 * p > 2: reduced-row-echelon accumulation in float64 with BLAS matrix
-  products.  All intermediate values stay below 2^53 (guarded at
-  construction), so the arithmetic is exact; when the guard fails a
-  slower int64 path is used instead.  Columns are buffered and merged
-  _BATCH at a time.
+  products.  Every intermediate value stays below (p-1)^2 * width, so the
+  arithmetic is exact while that is below 2^53; the guard is checked at
+  every merge, and the first time it fails the echelon moves to a slower
+  int64 path for good.  Columns are buffered and merged _BATCH at a time.
 """
 
 from __future__ import annotations
@@ -26,19 +27,18 @@ _BATCH = 256
 
 
 class RankBuilder:
-    """Incremental rank of a growing set of length-``dim`` vectors."""
+    """Incremental rank of a growing set of vectors of any length over F_p."""
 
-    def __init__(self, field: PrimeField, dim: int):
+    def __init__(self, field: PrimeField):
         self.field = field
         self.p = field.p
-        self.dim = dim
         self._rank = 0
         if self.p == 2:
             self._pivots = {}  # leading bit -> vector (int bitset)
         else:
-            self._float_ok = (self.p - 1) ** 2 * max(dim, 1) < _FLOAT_EXACT
-            dtype = np.float64 if self._float_ok else np.int64
-            self._P = np.zeros((min(dim, 64) or 1, dim), dtype=dtype)
+            self._float_ok = (self.p - 1) ** 2 < _FLOAT_EXACT
+            self._P = np.zeros((0, 0), dtype=np.float64 if self._float_ok else np.int64)
+            self._width = 0
             self._pivcols = []
             self._buffer = []
 
@@ -55,12 +55,12 @@ class RankBuilder:
                         v |= 1 << i
             self._add_bits(v)
             return
-        vec = np.zeros(self.dim, dtype=np.int64)
         if isinstance(entries, dict):
+            vec = np.zeros(max(entries, default=-1) + 1, dtype=np.int64)
             for i, c in entries.items():
                 vec[i] = c % self.p
         else:
-            vec[: len(entries)] = np.asarray(entries, dtype=np.int64) % self.p
+            vec = np.asarray(entries, dtype=np.int64) % self.p
         self._buffer.append(vec)
         if len(self._buffer) >= _BATCH:
             self._flush()
@@ -80,29 +80,43 @@ class RankBuilder:
 
     # -- generic path --------------------------------------------------
 
-    def _grow(self, need: int) -> None:
-        cap = self._P.shape[0]
-        if need <= cap:
+    def _reserve(self, rows: int, width: int) -> None:
+        """Make room for ``rows`` pivot rows of length ``width``."""
+        cap_rows, cap_width = self._P.shape
+        if rows <= cap_rows and width <= cap_width:
             return
-        new_cap = min(self.dim, max(need, cap * 2))
-        P = np.zeros((new_cap, self.dim), dtype=self._P.dtype)
-        P[: self._rank] = self._P[: self._rank]
+        cap_width = max(cap_width, -(-width // _BATCH) * _BATCH)
+        if rows > cap_rows:
+            cap_rows = min(max(rows, 2 * cap_rows, 64), cap_width)
+        P = np.zeros((cap_rows, cap_width), dtype=self._P.dtype)
+        P[: self._rank, : self._P.shape[1]] = self._P[: self._rank]
         self._P = P
 
     def _flush(self) -> None:
-        if self._buffer:
-            B = np.stack(self._buffer)
-            self._buffer = []
-            self._absorb(B.astype(self._P.dtype))
+        if not self._buffer:
+            return
+        self._width = width = max(self._width, *map(len, self._buffer))
+        if self._float_ok and (self.p - 1) ** 2 * width >= _FLOAT_EXACT:
+            self._float_ok = False
+            self._P = self._P.astype(np.int64)
+        B = np.zeros((len(self._buffer), width), dtype=self._P.dtype)
+        for row, vec in zip(B, self._buffer):
+            row[: len(vec)] = vec
+        self._buffer = []
+        self._reserve(min(self._rank + len(B), width), width)
+        self._absorb(B)
 
     def _absorb(self, B: np.ndarray) -> None:
-        """Merge rows of B (k x dim, entries in [0, p)) into the echelon set."""
+        """Merge rows of B (k x width, entries in [0, p)) into the echelon set.
+
+        ``_P`` must have room for min(rank + k, width) rows of this width.
+        """
         p = self.p
-        B = B.astype(self._P.dtype, copy=True)
+        width = B.shape[1]
         r = self._rank
         if r:
             # P is in reduced echelon form, so one pass suffices
-            P = self._P[:r]
+            P = self._P[:r, :width]
             if self._float_ok:
                 B = (B - B[:, self._pivcols] @ P) % p
             else:
@@ -127,13 +141,12 @@ class RankBuilder:
                 if mask.any():
                     rest[mask] = (rest[mask] - np.outer(col[mask], row)) % p
             if self._rank:
-                P = self._P[: self._rank]
+                P = self._P[: self._rank, :width]
                 pc = P[:, j]
                 m2 = pc != 0
                 if m2.any():
                     P[m2] = (P[m2] - np.outer(pc[m2], row)) % p
-            self._grow(self._rank + 1)
-            self._P[self._rank] = row
+            self._P[self._rank, :width] = row
             self._pivcols.append(j)
             self._rank += 1
 

@@ -80,11 +80,12 @@ def splitting_type(ideal: IdealSpec, q: int) -> SplittingType:
     return st
 
 
-def hn_from_splittings(s1: SplittingType, s2: SplittingType, *, n=None, degY=1):
+def hn_from_splittings(s1: SplittingType, s2: SplittingType, *, n=None):
     """Slope data from two splitting types, if the second is the scaled first.
 
     Returns HNData on stabilization, else NotStabilized with both
-    multisets.  n defaults to one more than the twist count.
+    multisets.  n defaults to one more than the twist count; degY is 1,
+    the degree of O(1) on P^1.
     """
     if s2.q <= s1.q:
         raise UserError("second splitting type must have the larger q")
@@ -107,7 +108,7 @@ def hn_from_splittings(s1: SplittingType, s2: SplittingType, *, n=None, degY=1):
         else:
             nus.append(v)
             ranks.append(1)
-    return HNData(n=n, degY=degY, ranks=tuple(ranks), nus=tuple(nus))
+    return HNData(n=n, degY=1, ranks=tuple(ranks), nus=tuple(nus))
 
 
 def _twists_from_hn(hn: HNData, q: int) -> list:
@@ -210,17 +211,12 @@ class SplittingReport:
     verified_q: int | None
 
 
-def analyze_ideal(
-    ideal: IdealSpec,
-    *,
-    max_exponent: int = 3,
-    extra_phi_q: tuple = (1,),
-) -> SplittingReport:
+def analyze_ideal(ideal: IdealSpec, *, max_exponent: int = 3) -> SplittingReport:
     """Compute splittings at q = p, p^2, ... until stabilized, then verify.
 
-    phi is computed at the stabilization pair plus ``extra_phi_q``; the
-    residual constant C is estimated from the two smallest q and checked
-    at the largest.
+    Splitting types are tried up to q = p^max_exponent.  phi is computed
+    at q = 1 and at every q with a splitting type; the residual constant
+    C is estimated from the two smallest q and checked at the largest.
     """
     _require_p1(ideal)
     p = ideal.field.p
@@ -238,8 +234,8 @@ def analyze_ideal(
             ideal, splittings, False, None, None, [], None, None, None
         )
     ehk = ehk_from_hn(hn, ideal.degrees)
-    q_values = sorted({s.q for s in splittings} | {int(q) for q in extra_phi_q})
-    phi_rows = [(q, engine.hk_value(ideal, q, keep_degrees=False).phi) for q in q_values]
+    q_values = sorted({1} | {s.q for s in splittings})
+    phi_rows = [(q, engine.hk_value(ideal, q).phi) for q in q_values]
     small = phi_rows[:2]
     c_bound = max(Fraction(abs(phi - ehk * q * q), q) for q, phi in small)
     q_big, phi_big = phi_rows[-1]

@@ -146,7 +146,7 @@ def test_hk_matches_staircase():
     mono = MonomialIdeal2.from_pairs([(3, 0), (1, 2), (0, 3)])
     ideal = free_ideal(2, ("x^3", "x*y^2", "y^3"))
     for q in (1, 2, 4, 8):
-        assert engine.hk_value(ideal, q, keep_degrees=False).phi == staircase_colength(mono, q)
+        assert engine.hk_value(ideal, q).phi == staircase_colength(mono, q)
 
 
 def test_frobenius_functoriality():
@@ -157,8 +157,8 @@ def test_frobenius_functoriality():
     frob = IdealSpec(R, frob_gens)
     for q in (1, 2, 4):
         assert (
-            engine.hk_value(base, 2 * q, keep_degrees=False).phi
-            == engine.hk_value(frob, q, keep_degrees=False).phi
+            engine.hk_value(base, 2 * q).phi
+            == engine.hk_value(frob, q).phi
         )
 
 
@@ -172,10 +172,21 @@ def test_tail_vanishes_at_pair_degree_bound():
     assert row.cutoff <= bound
 
 
-def test_hard_cap_raises():
+def test_hard_cap_raises(monkeypatch):
+    """A stream whose colength never vanishes stops at the derived cap
+    q*m0 + nvars*(q-1) + sum(d_i) and raises."""
     ideal = free_ideal(2, ("x", "y"))
+    seen = []
+
+    def never_vanishing(ring, gens, top):
+        for m in range(top + 1):
+            seen.append(m)
+            yield engine.DegreePiece(m, 1, 0, 0, 1, 0)
+
+    monkeypatch.setattr(engine, "pieces", never_vanishing)
     with pytest.raises(CapExceededError):
-        engine.hk_value(ideal, 16, consecutive_zeros=5, hard_cap=3)
+        engine.hk_value(ideal, 16)
+    assert seen[-1] == 16 * ideal.primarity_degree + 2 * 15 + 2
 
 
 def test_hard_cap_holds_on_high_degree_curve():
@@ -186,7 +197,7 @@ def test_hard_cap_holds_on_high_degree_curve():
     names = ("x", "y", "z")
     R = GradedRing(F, names, relation=parse_poly("x^41+y^41+z^41", names, F))
     ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
-    row = engine.hk_value(ideal, 32, keep_degrees=False)
+    row = engine.hk_value(ideal, 32)
     assert row.phi == 32768
     assert row.cutoff == 94
 
@@ -208,7 +219,7 @@ def test_primary_ideal_past_the_degree_sum_bound():
         ideal = IdealSpec(R, (R.parse("x"), R.parse("y")))
         assert ideal.primarity_degree == 5
         for q in (p, p * p):
-            assert engine.hk_value(ideal, q, keep_degrees=False).phi == 5 * q * q
+            assert engine.hk_value(ideal, q).phi == 5 * q * q
 
 
 def test_cones_with_a_pure_power_take_the_streamed_route(monkeypatch):

@@ -28,7 +28,7 @@ def dict_columns(a):
 def rank_of_array(a, field):
     """Rank over F_p of a (rows x cols) array, fed column by column."""
     a = np.asarray(a)
-    builder = RankBuilder(field, a.shape[0])
+    builder = RankBuilder(field)
     for col in dict_columns(a):
         builder.add_column(col)
     return builder.rank()
@@ -66,7 +66,7 @@ def test_gf2_bitset_path_against_reference():
         a = random_matrix(rng, rows, cols, 2, density=rng.choice((0.1, 0.5, 0.9)))
         want = rank_mod_p(dict_columns(a), 2)
         assert rank_of_array(a, F2) == want
-        bits = RankBuilder(F2, rows)
+        bits = RankBuilder(F2)
         for col in dict_columns(a):
             bits.add_column(sum(1 << i for i in col))
         assert bits.rank() == want
@@ -85,17 +85,46 @@ def test_rank_against_fraction_free_reference():
 
 
 def test_streaming_matches_block_feed():
-    """rank() read between feeds follows the rank of the columns so far."""
+    """rank() read between feeds follows the rank of the columns so far,
+    both for columns of one height and for columns of growing length."""
     rng = random.Random(8)
     for p in (2, 5):
         F = PrimeField(p)
         a = random_matrix(rng, 30, 40, p)
         columns = dict_columns(a)
-        builder = RankBuilder(F, 30)
+        builder = RankBuilder(F)
         for j, col in enumerate(columns):
             builder.add_column(col)
             assert builder.rank() == rank_mod_p(columns[: j + 1], p)
         assert builder.rank() == rank_of_array(a, F)
+    # Column j has length j + 1 and every third one is a combination of two
+    # earlier ones, so the rank stays well below the width.  Near p = 2^25,
+    # (p-1)^2 * width passes 2^53 at width 9 and the echelon must leave
+    # float64; kept in float64, the dependent columns stop reducing to zero
+    # once the rank is large enough for the products to lose exactness.
+    for p in (2, 5, 33554393):
+        F = PrimeField(p)
+        builder = RankBuilder(F)
+        float_ok = p > 2 and builder._float_ok
+        columns = []
+        for j in range(90):
+            if j % 3 == 2:
+                a, b = rng.sample(columns, 2)
+                s, t = rng.randint(1, p - 1), rng.randint(1, p - 1)
+                col = {i: (s * a.get(i, 0) + t * b.get(i, 0)) % p for i in set(a) | set(b)}
+                col = {i: c for i, c in col.items() if c}
+            else:
+                col = {i: rng.randint(1, p - 1) for i in range(j + 1) if rng.random() < 0.7}
+            columns.append(col)
+            if j % 2:
+                builder.add_column(col)
+            elif p == 2:
+                builder.add_column(sum(1 << i for i in col))
+            else:
+                builder.add_column([col.get(i, 0) for i in range(j + 1)])
+            assert builder.rank() == rank_mod_p(columns, p)
+        if p > 2:
+            assert float_ok and builder._float_ok == (p == 5)
 
 
 def test_known_ranks():
@@ -123,7 +152,7 @@ def test_large_prime_int64_fallback():
     rng = random.Random(5)
     a = random_matrix(rng, 8, 8, p)
     assert rank_of_array(a, F) == rank_mod_p(dict_columns(a), p)
-    builder = RankBuilder(F, 8)
+    builder = RankBuilder(F)
     assert builder._float_ok is False
 
 
@@ -146,7 +175,7 @@ def test_int64_update_after_rank(p):
             for i, c in col.items():
                 combo[i] = (combo.get(i, 0) + s * c) % p
         columns.insert(rng.randint(max(j, k) + 1, len(columns)), combo)
-        builder = RankBuilder(F, dim)
+        builder = RankBuilder(F)
         assert builder._float_ok is False
         for n, col in enumerate(columns, start=1):
             builder.add_column(col)
@@ -156,5 +185,5 @@ def test_int64_update_after_rank(p):
 def test_empty_input():
     F = PrimeField(3)
     assert rank_of_array(np.zeros((0, 5), dtype=np.int64), F) == 0
-    b = RankBuilder(F, 5)
+    b = RankBuilder(F)
     assert b.rank() == 0
