@@ -19,7 +19,7 @@ from . import corpus, engine
 from .errors import CapExceededError, ParseError, UserError
 from .field import PrimeField
 from .p1 import analyze_ideal
-from .poly import parse_poly
+from .poly import Poly, parse_poly
 from .reconstruct import (
     AmbiguousReconstruction,
     default_denominator_bound,
@@ -141,17 +141,6 @@ def _echo_config(config: dict, out) -> None:
 # -- subcommands -------------------------------------------------------
 
 
-def _evaluate_terms(terms, point, p) -> int:
-    total = 0
-    for exp, c in terms.items():
-        v = c
-        for a, e in zip(point, exp):
-            if e:
-                v = v * pow(a, e, p) % p
-        total = (total + v) % p
-    return total
-
-
 def check_smoothness_advisory(ring: GradedRing, limit: int = 50) -> str | None:
     """Brute-force search for a common zero of H and its partials over F_p.
 
@@ -172,15 +161,15 @@ def check_smoothness_advisory(ring: GradedRing, limit: int = 50) -> str | None:
                 e = list(exp)
                 e[i] -= 1
                 terms[tuple(e)] = (terms.get(tuple(e), 0) + c * exp[i]) % p
-        partials.append(terms)
+        partials.append(Poly(ring.field, ring.nvars, terms))
     from itertools import product as _product
 
     for point in _product(range(p), repeat=ring.nvars):
         if not any(point):
             continue
-        if _evaluate_terms(ring.relation.terms, point, p):
+        if ring.relation.evaluate(point):
             continue
-        if all(_evaluate_terms(d, point, p) == 0 for d in partials):
+        if all(d.evaluate(point) == 0 for d in partials):
             return f"singular point {point} on the curve over F_{p}"
     return f"no F_{p}-rational singular point (smoothness over the closure not certified)"
 

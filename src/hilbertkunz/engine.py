@@ -7,19 +7,20 @@ Degree m is read from the rank of the multiplication map
 with g_i the reduced q-th generator powers, in monomial coordinates.
 The colength of the degree-m piece of R/(g_1, ..., g_n) is dim R_m - rank,
 and the kernel dimension is h^0(Syz(g_1..g_n)(m)).  On K[x,y], and on a
-cone K[x,y,z]/(H) whose H has a pure-power term, the degree-m map is the
-degree-(m-1) map plus a few new columns, so one elimination per q
-streams every degree's rank (``_streamed_pieces``); other rings
-eliminate each degree's map on its own (``_degree_piece``).  ``pieces``
-is the one place that picks the route, for ``hk_value``, the splitting
-layer and the primarity check alike.  The rank-nullity form
-of the alternating sum is asserted for every piece as an indexing
+cone K[x,y,z]/(H) made monic in x over F_p (``_linear_change``), the
+degree-m map is the degree-(m-1) map plus a few new columns, so one
+elimination per q streams every degree's rank (``_streamed_pieces``);
+other rings eliminate each degree's map on its own (``_degree_piece``).
+``pieces`` is the one place that picks the route, for ``hk_value``, the
+splitting layer and the primarity check alike.  The rank-nullity form of
+the alternating sum is asserted for every piece as an indexing
 cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain, product
 
 import numpy as np
 
@@ -61,17 +62,9 @@ def _generic_columns(ring: GradedRing, g, d: int, m: int):
     d is g's declared degree, so a generator reduced to zero still yields
     its dim R_{m-d} (empty) columns.
     """
-    index = ring.basis_index(m)
-    reduce_needed = ring.relation is not None
-    gterms = g.terms
+    index = {e: i for i, e in enumerate(ring.basis(m))}
     for mu in ring.basis(m - d):
-        prod = {}
-        for exp, c in gterms.items():
-            key = tuple(a + b for a, b in zip(mu, exp))
-            prod[key] = prod.get(key, 0) + c
-        if reduce_needed:
-            prod = ring.reduce_terms(prod)
-        yield {index[e]: c for e, c in prod.items()}
+        yield {index[e]: c for e, c in ring.reduce(Poly.monomial(g.field, mu) * g).terms.items()}
 
 
 @dataclass(frozen=True)
@@ -90,8 +83,6 @@ def _degree_piece(ring: GradedRing, gens, degrees, m: int) -> DegreePiece:
     """The degree-m map (+)_i R_{m - degrees[i]} -> R_m, assembled and eliminated whole."""
     rows = ring.hilbert_dim(m)
     cols = sum(ring.hilbert_dim(m - d) for d in degrees)
-    if rows == 0 or cols == 0:
-        return DegreePiece(m, rows, cols, 0, rows, cols)
     builder = RankBuilder(ring.field)
     fed = 0
     for g, d in zip(gens, degrees):
@@ -166,29 +157,47 @@ def degree_piece(ideal: IdealSpec, q: int, m: int) -> DegreePiece:
     return _degree_piece(ideal.ring, gens_q, [q * d for d in ideal.degrees], m)
 
 
+def _linear_change(H: Poly):
+    """(order, images): H(Mx) is monic in x, with x_j -> images[j] = (Mx)_j.
+
+    M is over F_p, with first column a point P, H(P) != 0, and then the
+    unit vectors e_j, j != i, in index order, i the first index with
+    P_i != 0.  The x^h coefficient of H(Mx) is H(P), and M is invertible.
+    P is sought among e_1, e_2, e_3 first (a pure power x_i^h in H makes
+    M the permutation moving x_i first), then in S^3, S = {0..min(h,p-1)}.
+    A nonzero form of degree h has a non-root in S^3 once |S| >= h + 1
+    (Schwartz-Zippel), and S = F_p when h >= p, so None means H vanishes
+    on all of F_p^3, which needs h >= p + 1 (x^2*y + x*y^2 over F_2).
+    """
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    grid = product(range(min(H.degree(), H.field.p - 1) + 1), repeat=3)
+    for P in chain(units, grid):
+        if H.evaluate(P):
+            i = next(j for j in range(3) if P[j])
+            order = (i,) + tuple(j for j in range(3) if j != i)
+            columns = (P,) + tuple(units[j] for j in order[1:])
+            return order, [Poly(H.field, 3, {units[k]: col[j] for k, col in enumerate(columns)})
+                           for j in range(3)]
+    return None
+
+
 def pieces(ring: GradedRing, gens, top: int):
     """DegreePiece of R/(gens) for m = 0..top; zero generators are dropped.
 
     The only place a route is chosen: one streamed echelon on K[x,y] and
-    on a cone K[x,y,z]/(H) where H has a pure-power term x_i^h (the
-    variables are reordered so that x_i comes first, which changes no
-    colength or h^0), one map per degree on every other ring.
+    on a cone K[x,y,z]/(H) carried to H(Mx) by ``_linear_change`` (M is
+    invertible over F_p, so no colength or h^0 changes, and g^q(Mx) is
+    g(Mx)^q), one map per degree on every other ring.
     """
     gens = [g for g in gens if not g.is_zero()]
     if ring.relation is None and ring.nvars == 2:
         return _streamed_pieces(ring, gens, top)
     H = ring.relation
-    if H is not None and ring.nvars == 3:
-        h = H.degree()
-        pure = [i for i in range(3) if tuple(h * (j == i) for j in range(3)) in H.terms]
-        if pure:
-            order = (pure[0],) + tuple(j for j in range(3) if j != pure[0])
-
-            def move(f):
-                return Poly(f.field, 3, {tuple(e[j] for j in order): c for e, c in f.terms.items()})
-
-            cone = GradedRing(ring.field, [ring.vars[j] for j in order], move(H))
-            return _streamed_pieces(cone, [cone.reduce(move(g)) for g in gens], top)
+    change = _linear_change(H) if H is not None and ring.nvars == 3 else None
+    if change is not None:
+        order, images = change
+        cone = GradedRing(ring.field, [ring.vars[j] for j in order], H.substitute(images))
+        return _streamed_pieces(cone, [cone.reduce(g.substitute(images)) for g in gens], top)
     degrees = [g.degree() for g in gens]
     return (_degree_piece(ring, gens, degrees, m) for m in range(top + 1))
 

@@ -142,6 +142,31 @@ class Poly:
             k >>= 1
         return result
 
+    def evaluate(self, point) -> int:
+        """f(point) in [0, p), for a point given as one integer per variable."""
+        p = self.field.p
+        total = 0
+        for exp, c in self.terms.items():
+            for a, e in zip(point, exp):
+                c = c * pow(a, e, p) % p
+            total += c
+        return total % p
+
+    def substitute(self, images) -> Poly:
+        """f(images[0], ..., images[N-1]); each power of an image is built once."""
+        one = Poly.constant(self.field, images[0].nvars, 1)
+        powers = [{} for _ in images]
+        terms = {}
+        for exp, c in self.terms.items():
+            prod = one
+            for pw, image, a in zip(powers, images, exp):
+                if a not in pw:
+                    pw[a] = image**a
+                prod = prod * pw[a]
+            for e, cc in prod.terms.items():
+                terms[e] = terms.get(e, 0) + c * cc
+        return Poly(self.field, one.nvars, terms)
+
     def __eq__(self, other):
         return (
             isinstance(other, Poly)

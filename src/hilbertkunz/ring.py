@@ -55,8 +55,6 @@ class GradedRing:
             # H = LT + tail, so LT == -tail in the quotient
             self._tail = {e: -c % field.p for e, c in relation.terms.items() if e != lead}
         self.relation = relation
-        self._basis_cache = {}
-        self._index_cache = {}
 
     # -- graded pieces -------------------------------------------------
 
@@ -84,9 +82,6 @@ class GradedRing:
         """
         if m < 0:
             return ()
-        cached = self._basis_cache.get(m)
-        if cached is not None:
-            return cached
         if self.relation is None:
             mons = tuple(_monomials(self.nvars, m))
         else:
@@ -100,15 +95,7 @@ class GradedRing:
                         mons.append(tuple(map(sum, zip(head, f))) + (a,) + f[i:])
             mons = tuple(mons)
         assert len(mons) == self.hilbert_dim(m)
-        self._basis_cache[m] = mons
         return mons
-
-    def basis_index(self, m: int) -> dict:
-        cached = self._index_cache.get(m)
-        if cached is None:
-            cached = {e: i for i, e in enumerate(self.basis(m))}
-            self._index_cache[m] = cached
-        return cached
 
     # -- normal forms --------------------------------------------------
 

@@ -71,3 +71,14 @@ def frobenius_terms(terms, q, p):
     sum c_e^q x^(qe); this avoids any multiplication code.
     """
     return {tuple(q * a for a in e): pow(c, q, p) for e, c in terms.items()}
+
+
+def value_at(terms, point, p):
+    """Value mod p of a {exponent-tuple: coeff} dict at an integer point."""
+    total = 0
+    for e, c in terms.items():
+        v = c
+        for a, k in zip(point, e):
+            v *= a**k
+        total += v
+    return total % p

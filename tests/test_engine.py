@@ -222,20 +222,39 @@ def test_primary_ideal_past_the_degree_sum_bound():
             assert engine.hk_value(ideal, q).phi == 5 * q * q
 
 
-def test_cones_with_a_pure_power_take_the_streamed_route(monkeypatch):
+def test_cones_with_a_point_off_the_curve_take_the_streamed_route(monkeypatch):
     """With the per-degree route made to fail, IdealSpec and hk_value at q = p
-    still succeed on cones whose H has a pure-power term, reordered or not."""
+    still succeed on cones with an F_p-point off the curve: with a pure-power
+    term in H (reordered or not) and without one (the Klein cubic)."""
 
     def refuse(*args):
         raise AssertionError("per-degree route taken")
 
     monkeypatch.setattr(engine, "_degree_piece", refuse)
     names = ("x", "y", "z")
-    for p, relation, phi in ((5, "x^3+y^3+z^3", 55), (7, "x^3-y^2*z", 113), (5, "x^2*y+y^3+z^3", 55)):
+    klein = "x^2*y+y^2*z+z^2*x"
+    cases = ((5, "x^3+y^3+z^3", 55), (7, "x^3-y^2*z", 113), (5, "x^2*y+y^3+z^3", 55),
+             (2, klein, 8), (3, klein, 19), (5, klein, 55))
+    for p, relation, phi in cases:
         F = PrimeField(p)
         R = GradedRing(F, names, relation=parse_poly(relation, names, F))
         ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
         assert engine.hk_value(ideal, p).phi == phi
+
+
+def test_curves_through_every_fp_point_take_the_per_degree_route(monkeypatch):
+    """x^2*y + x*y^2 vanishes on all of F_2^3, so no change of coordinates
+    over F_2 makes it monic in x; with the stream made to fail, phi is as
+    before."""
+
+    def refuse(*args):
+        raise AssertionError("streamed route taken")
+
+    monkeypatch.setattr(engine, "_streamed_pieces", refuse)
+    names = ("x", "y", "z")
+    R = GradedRing(F2, names, relation=parse_poly("x^2*y+x*y^2", names, F2))
+    ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
+    assert [engine.hk_value(ideal, q).phi for q in (1, 2, 4)] == [1, 8, 40]
 
 
 def test_q_must_be_prime_power():

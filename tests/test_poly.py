@@ -6,6 +6,8 @@ from hilbertkunz.errors import ParseError, UserError
 from hilbertkunz.field import PrimeField
 from hilbertkunz.poly import Poly, grevlex_key, parse_poly
 
+from oracles import value_at
+
 F5 = PrimeField(5)
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -118,3 +120,44 @@ def test_mixed_ring_operations_rejected():
     g = parse_poly("x", XY, PrimeField(7))
     with pytest.raises(UserError):
         f + g
+
+
+def _random_poly(rng, field, nvars, degree, count):
+    terms = {}
+    for _ in range(count):
+        cut = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+        e = tuple(b - a for a, b in zip([0] + cut, cut + [degree]))
+        terms[e] = rng.randrange(field.p)
+    return Poly(field, nvars, terms)
+
+
+def test_evaluate_matches_a_plain_sum():
+    rng = random.Random(7)
+    for p in (2, 3, 5, 65521):
+        F = PrimeField(p)
+        for _ in range(20):
+            f = _random_poly(rng, F, 3, rng.randint(0, 6), 5)
+            point = tuple(rng.randrange(p) for _ in range(3))
+            assert f.evaluate(point) == value_at(f.terms, point, p)
+
+
+def test_substitute_identity_and_shear():
+    rng = random.Random(8)
+    x, y, z = (Poly.variable(F5, 3, i) for i in range(3))
+    for _ in range(20):
+        f = _random_poly(rng, F5, 3, rng.randint(0, 6), 6)
+        assert f.substitute([x, y, z]) == f
+        a = rng.randrange(1, 5)
+        sheared = f.substitute([x + y.scale(a), y, z])
+        assert sheared.substitute([x - y.scale(a), y, z]) == f
+
+
+def test_substitute_commutes_with_frobenius():
+    """Over F_p a linear change M commutes with q-th powers: g^q(Mx) = g(Mx)^q."""
+    rng = random.Random(9)
+    for p, q in ((2, 2), (2, 4), (3, 3), (3, 9), (5, 5)):
+        F = PrimeField(p)
+        for _ in range(5):
+            g = _random_poly(rng, F, 3, rng.randint(1, 2), 4)
+            images = [_random_poly(rng, F, 3, 1, 3) for _ in range(3)]
+            assert (g**q).substitute(images) == g.substitute(images) ** q

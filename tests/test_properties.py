@@ -11,9 +11,15 @@ Each drawn ideal of a cone F_p[x,y,z]/(H), deg H in 2..6, is checked
 degree by degree against the same ambient elimination of (H, g_i^q),
 and ``engine.pieces`` against ``_degree_piece``.  A random H may have
 an x^h, a y^h or a z^h term or none, so the draws reach the streamed
-route with and without the variable reordering, and the per-degree
-fallback; ``test_cone_routes_agree`` pins one case of each.
+route through a permutation of the variables and through a change of
+coordinates that moves an F_p-point off the curve to (1, 0, 0);
+``test_cone_routes_agree`` pins cases of each, and curves through every
+point of F_p^3, which keep the per-degree route.  ``test_linear_change``
+checks that change itself on random forms, some of them vanishing on
+all of F_p^3.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +31,7 @@ from hilbertkunz.p1 import splitting_type
 from hilbertkunz.poly import Poly, parse_poly
 from hilbertkunz.ring import GradedRing, IdealSpec
 
-from oracles import ambient_colength, frobenius_terms
+from oracles import ambient_colength, frobenius_terms, value_at
 
 CASES = ((2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5), (65521, 1), (2**31 - 1, 1))
 
@@ -142,8 +148,11 @@ CONES = (
     (5, "x^2*y+y^3+z^3"),  # y is moved first
     (3, "x*y^2+x^2*z+z^3"),  # z is moved first
     (2, "x^2"),  # h = 2, not a domain; x^[2] reduces to zero
-    (2, "x^2*y+y^2*z+z^2*x"),  # the Klein cubic: no pure power, per-degree route
+    (2, "x^2*y+y^2*z+z^2*x"),  # the Klein cubic: no pure power, P = (0, 1, 1)
     (3, "x^2*y+y^2*z+z^2*x"),
+    (5, "x^2*y+y^2*z+z^2*x"),
+    (2, "x^2*y+x*y^2"),  # zero on all of F_2^3: the per-degree route
+    (3, "x^3*y-x*y^3"),  # zero on all of F_3^3: the per-degree route
 )
 
 
@@ -164,3 +173,53 @@ def test_cone_routes_agree(p, relation, gen_texts):
         assert [piece.colength for piece in streamed] == [
             ambient_colength(ring.relation.terms, gens, 3, p, m) for m in range(last + 1)
         ]
+
+
+def _vanishing_form(draw, field):
+    """A nonzero combination of x^p y - x y^p, x^p z - x z^p, y^p z - y z^p."""
+    p = field.p
+    forms = ({(p, 1, 0): 1, (1, p, 0): -1}, {(p, 0, 1): 1, (1, 0, p): -1},
+             {(0, p, 1): 1, (0, 1, p): -1})
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=3, max_size=3).filter(any))
+    terms = {}
+    for c, form in zip(coeffs, forms):
+        for e, a in form.items():
+            terms[e] = terms.get(e, 0) + c * a
+    return Poly(field, 3, terms)
+
+
+def _reordered(f, order):
+    """f with x_order[0], x_order[1], x_order[2] renamed x, y, z."""
+    return Poly(f.field, 3, {tuple(e[j] for j in order): c for e, c in f.terms.items()})
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_linear_change(p, data):
+    """``_linear_change`` is None exactly on forms zero on all of F_p^3; else
+    H(Mx) has an x^h term, and with a pure power x_i^h in H, M moves the
+    first such x_i first and keeps the order of the other two."""
+    field = PrimeField(p)
+    kind = data.draw(st.sampled_from(("any", "no pure power", "zero on F_p^3")))
+    if kind == "zero on F_p^3":
+        h = data.draw(st.integers(p + 1, 6))
+        H = _vanishing_form(data.draw, field) * _ternary_form(data.draw, field, h - p - 1, 0)
+    else:
+        h = data.draw(st.integers(1, 6))
+        H = _ternary_form(data.draw, field, h, 0)
+    if kind == "no pure power" and h >= 2:
+        H = Poly(field, 3, {e: c for e, c in H.terms.items() if h not in e} or {(h - 1, 1, 0): 1})
+    gens = [_ternary_form(data.draw, field, data.draw(st.integers(1, 3)), k) for k in range(2)]
+    change = engine._linear_change(H)
+    vanishes = all(value_at(H.terms, P, p) == 0 for P in product(range(p), repeat=3))
+    assert (change is None) == vanishes
+    if change is None:
+        return
+    order, images = change
+    assert H.substitute(images).terms.get((h, 0, 0), 0) != 0
+    pure = [i for i in range(3) if tuple(h * (j == i) for j in range(3)) in H.terms]
+    if pure:
+        assert order == (pure[0],) + tuple(j for j in range(3) if j != pure[0])
+        for f in [H] + gens:
+            assert f.substitute(images) == _reordered(f, order)
