@@ -11,8 +11,10 @@ cone K[x,y,z]/(H) made monic in x over F_p (``_linear_change``), the
 degree-m map is the degree-(m-1) map plus a few new columns, so one
 elimination per q streams every degree's rank (``_streamed_pieces``);
 other rings eliminate each degree's map on its own (``_degree_piece``).
-``pieces`` is the one place that picks the route, for ``hk_value``, the
-splitting layer and the primarity check alike.  The rank-nullity form of
+``pieces`` is the one place that checks q, takes the Frobenius powers
+(after the change of coordinates, in the ring the route runs in) and
+picks the route, for ``hk_value``, the splitting layer and the primarity
+check (q = 1) alike.  The rank-nullity form of
 the alternating sum is asserted for every piece as an indexing
 cross-check.
 """
@@ -43,16 +45,14 @@ def validate_prime_power(p: int, q: int) -> int:
     return e
 
 
-def frobenius_power_gens(ideal: IdealSpec, q: int) -> tuple:
-    """Reduced generators of the q-th Frobenius power.
+def frobenius_power_gens(ring: GradedRing, gens, q: int) -> tuple:
+    """Reduced q-th powers of gens in ring.
 
     Over F_p, g^q = g(x_1^q, ..., x_N^q) since c^q = c, so each power is
     one substitution e -> q*e followed by one reduction; the normal form
     modulo a single relation is unique.
     """
-    validate_prime_power(ideal.field.p, q)
-    ring = ideal.ring
-    powers = ({tuple(q * a for a in e): c for e, c in g.terms.items()} for g in ideal.gens)
+    powers = ({tuple(q * a for a in e): c for e, c in g.terms.items()} for g in gens)
     return tuple(ring.reduce(Poly(ring.field, ring.nvars, terms)) for terms in powers)
 
 
@@ -153,7 +153,8 @@ def degree_piece(ideal: IdealSpec, q: int, m: int) -> DegreePiece:
     """Colength and syzygy dimension of the degree-m piece of R/I^[q]."""
     if m < 0:
         return DegreePiece(m, 0, 0, 0, 0, 0)
-    gens_q = frobenius_power_gens(ideal, q)
+    validate_prime_power(ideal.field.p, q)
+    gens_q = frobenius_power_gens(ideal.ring, ideal.gens, q)
     return _degree_piece(ideal.ring, gens_q, [q * d for d in ideal.degrees], m)
 
 
@@ -181,23 +182,27 @@ def _linear_change(H: Poly):
     return None
 
 
-def pieces(ring: GradedRing, gens, top: int):
-    """DegreePiece of R/(gens) for m = 0..top; zero generators are dropped.
+def pieces(ring: GradedRing, gens, q: int, top: int):
+    """DegreePiece of R/(g^q for g in gens) for m = 0..top.
 
-    The only place a route is chosen: one streamed echelon on K[x,y] and
-    on a cone K[x,y,z]/(H) carried to H(Mx) by ``_linear_change`` (M is
+    gens are the unpowered generators; q is checked here, and zero powers
+    are dropped.  The only place a route is chosen: one streamed echelon
+    on K[x,y] and on a cone K[x,y,z]/(H) carried to H(Mx) by
+    ``_linear_change``, one map per degree on every other ring.  M is
     invertible over F_p, so no colength or h^0 changes, and g^q(Mx) is
-    g(Mx)^q), one map per degree on every other ring.
+    g(Mx)^[q]: the change acts on the degree-d generators, and each power
+    is taken in the ring the route runs in.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if ring.relation is None and ring.nvars == 2:
-        return _streamed_pieces(ring, gens, top)
+    validate_prime_power(ring.field.p, q)
     H = ring.relation
     change = _linear_change(H) if H is not None and ring.nvars == 3 else None
     if change is not None:
         order, images = change
-        cone = GradedRing(ring.field, [ring.vars[j] for j in order], H.substitute(images))
-        return _streamed_pieces(cone, [cone.reduce(g.substitute(images)) for g in gens], top)
+        ring = GradedRing(ring.field, [ring.vars[j] for j in order], H.substitute(images))
+        gens = [g.substitute(images) for g in gens]
+    gens = [g for g in frobenius_power_gens(ring, gens, q) if not g.is_zero()]
+    if change is not None or (ring.relation is None and ring.nvars == 2):
+        return _streamed_pieces(ring, gens, top)
     degrees = [g.degree() for g in gens]
     return (_degree_piece(ring, gens, degrees, m) for m in range(top + 1))
 
@@ -223,13 +228,12 @@ def hk_value(ideal: IdealSpec, q: int) -> HKRow:
     with r_i < q; in degree q*m0 + nvars*(q-1) and above, sum b_i >= m0,
     so x^b lies in I and the monomial in I^[q].
     """
-    validate_prime_power(ideal.field.p, q)
     consecutive_zeros = max(1, sum(ideal.degrees))
     hard_cap = q * ideal.primarity_degree + ideal.ring.nvars * (q - 1) + consecutive_zeros
     per_degree = {}
     phi = 0
     zeros_run = 0
-    for piece in pieces(ideal.ring, frobenius_power_gens(ideal, q), hard_cap):
+    for piece in pieces(ideal.ring, ideal.gens, q, hard_cap):
         c = piece.colength
         per_degree[piece.m] = c
         phi += c

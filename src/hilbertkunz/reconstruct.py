@@ -124,9 +124,6 @@ class QuadraticIrrational:
 
     disc: Fraction
 
-    def approx(self) -> float:
-        return (3 + float(self.disc) ** 0.5) / 2
-
     def __str__(self):
         return f"(3 + sqrt({self.disc}))/2"
 

@@ -165,7 +165,7 @@ def first_vanishing_degree(ring: GradedRing, gens, bound: int) -> int:
     """
     from .engine import pieces
 
-    for piece in pieces(ring, gens, bound):
+    for piece in pieces(ring, gens, 1, bound):
         if piece.colength == 0:
             return piece.m
     raise NotPrimaryError(

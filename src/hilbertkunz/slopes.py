@@ -40,9 +40,6 @@ class HNData:
     def t(self) -> int:
         return len(self.ranks)
 
-    def mubars(self) -> tuple:
-        return tuple(-v * self.degY for v in self.nus)
-
 
 def validate(hn: HNData, degrees) -> list:
     """All violated invariants, as human-readable strings; empty if valid."""

@@ -5,8 +5,10 @@ import pytest
 from hilbertkunz import engine
 from hilbertkunz.errors import CapExceededError, InternalError, UserError
 from hilbertkunz.field import PrimeField
+from hilbertkunz.p1 import splitting_type, verify_h0_profile
 from hilbertkunz.poly import Poly, parse_poly
 from hilbertkunz.ring import GradedRing, IdealSpec
+from hilbertkunz.slopes import HNData
 from hilbertkunz.staircase import MonomialIdeal2, staircase_colength
 
 from oracles import ambient_colength, frobenius_terms
@@ -43,7 +45,7 @@ def test_frobenius_power_gens_matches_plain_power():
         R = GradedRing(F5, names, relation=rel)
         ideal = IdealSpec(R, tuple(R.parse(t) for t in gen_texts))
         for q in (1, 5, 25):
-            assert engine.frobenius_power_gens(ideal, q) == tuple(R.reduce(g**q) for g in ideal.gens)
+            assert engine.frobenius_power_gens(R, ideal.gens, q) == tuple(R.reduce(g**q) for g in ideal.gens)
 
 
 def test_degree_piece_counts_the_columns_it_feeds(monkeypatch):
@@ -60,7 +62,7 @@ def test_zero_frobenius_power_keeps_its_columns():
     names = ("x", "y", "z")
     R = GradedRing(F2, names, relation=parse_poly("x^2", names, F2))
     ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
-    assert engine.frobenius_power_gens(ideal, 2)[0].is_zero()
+    assert engine.frobenius_power_gens(R, ideal.gens, 2)[0].is_zero()
     gens = [frobenius_terms(g.terms, 2, 2) for g in ideal.gens]
     for m in range(7):
         piece = engine.degree_piece(ideal, 2, m)
@@ -178,7 +180,7 @@ def test_hard_cap_raises(monkeypatch):
     ideal = free_ideal(2, ("x", "y"))
     seen = []
 
-    def never_vanishing(ring, gens, top):
+    def never_vanishing(ring, gens, q, top):
         for m in range(top + 1):
             seen.append(m)
             yield engine.DegreePiece(m, 1, 0, 0, 1, 0)
@@ -258,6 +260,13 @@ def test_curves_through_every_fp_point_take_the_per_degree_route(monkeypatch):
 
 
 def test_q_must_be_prime_power():
+    """Every route that powers the generators rejects q that is not a power of p."""
     ideal = free_ideal(5, ("x", "y"))
-    with pytest.raises(UserError):
-        engine.hk_value(ideal, 10)
+    hn = HNData(n=2, degY=1, ranks=(1,), nus=(2,))  # twists 2q
+    for q in (10, 0):
+        with pytest.raises(UserError):
+            engine.hk_value(ideal, q)
+        with pytest.raises(UserError):
+            splitting_type(ideal, q)
+        with pytest.raises(UserError):
+            verify_h0_profile(ideal, q, hn)
