@@ -1,28 +1,31 @@
 """Direct computation of the Hilbert-Kunz function, degree by degree.
 
-Degree m is read from the rank of the multiplication map
+Degree m is read from the multiplication map
 
     (+)_i R_{m - q d_i}  ->  R_m,   (a_i) |-> sum_i a_i g_i,
 
-with g_i the reduced q-th generator powers, in monomial coordinates.
-The colength of the degree-m piece of R/(g_1, ..., g_n) is dim R_m - rank,
-and the kernel dimension is h^0(Syz(g_1..g_n)(m)).  On K[x,y], and on a
-cone K[x,y,z]/(H) made monic in x over F_p (``_linear_change``), the
-degree-m map is the degree-(m-1) map plus a few new columns, so one
-elimination per q streams every degree's rank (``_streamed_pieces``);
-other rings eliminate each degree's map on its own (``_degree_piece``).
-``pieces`` is the one place that checks q, takes the Frobenius powers
-(after the change of coordinates, in the ring the route runs in) and
-picks the route, for ``hk_value``, the splitting layer and the primarity
-check (q = 1) alike.  The rank-nullity form of
-the alternating sum is asserted for every piece as an indexing
-cross-check.
+with g_i the reduced q-th generator powers.  The colength of the
+degree-m piece of R/(g_1, ..., g_n) is dim R_m - rank, and the kernel
+dimension is h^0(Syz(g_1..g_n)(m)).  On K[x,y], and on a cone
+K[x,y,z]/(H) made monic in x over F_p (``_linear_change``), R is free
+over A = K[y,z] and so is the syzygy module; its twists e_j come from
+one kernel basis of a polynomial matrix per q (``_kernel_twists``), and
+every degree follows in closed form, h^0(m) = sum_j (m - e_j + 1)_+
+(``_split_pieces``).  Other rings eliminate each degree's map on its own
+(``_degree_piece``), which is also the tests' reference.  ``pieces`` is
+the one place that checks q, takes the Frobenius powers (after the
+change of coordinates, in the ring the route runs in) and picks the
+route, for ``hk_value``, the splitting layer and the primarity check
+(q = 1) alike.  Every piece is checked: a per-degree map against the
+rank-nullity count of the columns it fed, a closed-form piece for
+colength >= 0 and h^0 <= dim of the source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,9 +70,8 @@ def _generic_columns(ring: GradedRing, g, d: int, m: int):
         yield {index[e]: c for e, c in ring.reduce(Poly.monomial(g.field, mu) * g).terms.items()}
 
 
-@dataclass(frozen=True)
-class DegreePiece:
-    """Per-degree data from one elimination."""
+class DegreePiece(NamedTuple):
+    """Per-degree data of R/(gens): the map (+)_i R_{m - d_i} -> R_m."""
 
     m: int
     colength: int
@@ -98,55 +100,94 @@ def _degree_piece(ring: GradedRing, gens, degrees, m: int) -> DegreePiece:
     return DegreePiece(m, colength, h0, rank, rows, cols)
 
 
-def _streamed_pieces(ring: GradedRing, gens, top: int):
-    """Yield the DegreePiece of R/(gens) for m = 0..top from one elimination.
+def _kernel_twists(ring: GradedRing, gens) -> list:
+    """Twists of Syz(gens): the shifted degrees of an s-reduced kernel basis.
 
-    R is K[x,y], or a cone K[x,y,z]/(H) with LT(H) = x^h.  H is then monic
-    in x, so R is free over K[y,z] on 1, x, .., x^(h-1) and multiplication
-    by y is injective.  Index the rows of every degree's map by
-    (l, t) -> t*h + l for x^l y^a z^t: y keeps the index, so the degree-m
-    map is the degree-(m-1) map plus the columns z^b * NF(x^k g), one per
-    generator g of degree D and k < h with D + k + b = m.  On K[x,y],
-    h = 1, t is the y-exponent and x takes the part of y.  Multiplying by
-    z keeps monomials standard, so each column is NF(x^k g) shifted by h*b;
-    over GF(2) that is the int bits(NF(x^k g)) << (h*b).
+    R is K[x,y], or a cone K[x,y,z]/(H) with LT(H) = x^h, so R is free over
+    A = K[y,z] on 1, x, .., x^(h-1); on K[x,y], h = 1 and R is A, with x in
+    the role of y.  Row (g, k), k < h, of the polynomial matrix M holds the
+    coefficients of x^l, l < h, in NF(x^k g), with y (a cone) or x (K[x,y])
+    set to 1: polynomials in t, the last variable.  Setting it to 1 is a
+    bijection on forms of a fixed degree, so the degree-m syzygies are the
+    u over K[t] with u M = 0 and deg u_(g,k) <= m - s_(g,k), where
+    s_(g,k) = deg g + k.
+
+    [M | I] is reduced to weak Popov form by Mulders-Storjohann simple
+    transformations: while two rows share a leading position (the
+    rightmost of maximal shifted degree), subtract c t^delta times the one
+    of lower degree from the other.  Identity column (g, k) has shift
+    s_(g,k); target column l has shift l plus a constant larger than any
+    row degree, so the M part leads while it is nonzero (positions are only
+    ever compared within one part, so the constant is never formed).  The
+    transformations are unimodular.  At the end the rows with a nonzero M
+    part lead at distinct M positions, so their M parts are independent,
+    and the rows whose M part has vanished are an s-reduced basis of the
+    kernel, for any rank of M.  By the predictable-degree property,
+    h0(m) = sum_j (m - e_j + 1)_+ over their shifted degrees e_j.
+
+    Entries are kept in [0, p) as int64.  p < 2^31, so c * entry < 2^62 and
+    every update entry - c * entry is exact, for every p.  A row's storage
+    grows with its length.
     """
     p = ring.field.p
     free = ring.relation is None
     h = 1 if free else ring.relation.degree()
-    degrees = [g.degree() for g in gens]
-    sources = []  # (coefficient vector of NF(x^k g), its degree D + k)
-    for g, d in zip(gens, degrees):
-        for k in range(h):
-            terms = g.terms if k == 0 else ring.reduce_terms(
-                {(e[0] + k,) + e[1:]: c for e, c in g.terms.items()})
-            at = {e[-1] * h + (0 if free else e[0]): c for e, c in terms.items()}
-            if p == 2:
-                vec = sum(1 << r for r in at)
-            else:
-                vec = np.zeros(h * (d + k + 1), dtype=np.int64)
-                vec[list(at)] = list(at.values())
-            sources.append((vec, d + k))
-    # dim R_j; R is free over K[y,z] on 1, .., x^(h-1), so from j = h-1 on it grows by h
-    dims = [ring.hilbert_dim(j) for j in range(h)]
-    dims += range(dims[-1] + h, dims[-1] + h * (top - h + 2), h)
-    builder = RankBuilder(ring.field)
-    fed = 0
-    for m in range(top + 1):
-        for vec, d in sources:
-            if d <= m:
-                shift = h * (m - d)
-                builder.add_column(vec << shift if p == 2 else np.pad(vec, (shift, 0)))
-                fed += 1
-        rank = builder.rank()
-        rows = dims[m]
-        cols = sum(dims[m - d] for d in degrees if d <= m)
-        colength = rows - rank
-        h0 = cols - rank
-        # rank-nullity form of the alternating sum; guards indexing errors
-        if colength != rows - fed + h0:
-            raise InternalError("alternating-sum identity violated")
-        yield DegreePiece(m, colength, h0, rank, rows, cols)
+    # target column l, without the constant, then identity column (g, k)
+    shifts = list(range(h)) + [g.degree() + k for g in gens for k in range(h)]
+    width = len(shifts)
+    arrays, degs = [], []  # per row: coefficients (column, t) and column degrees, -1 for zero
+    for r, (g, k) in enumerate((g, k) for g in gens for k in range(h)):
+        terms = g.terms if k == 0 else ring.reduce_terms(
+            {(e[0] + k,) + e[1:]: c for e, c in g.terms.items()})
+        entries = {(0 if free else e[0], e[-1]): c for e, c in terms.items()}
+        entries[h + r, 0] = 1
+        deg = [-1] * width
+        for l, t in entries:
+            deg[l] = max(deg[l], t)
+        a = np.zeros((width, max(deg) + 1), dtype=np.int64)
+        for (l, t), c in entries.items():
+            a[l, t] = c
+        arrays.append(a)
+        degs.append(deg)
+
+    def lead(deg):
+        """(position, shifted degree): the rightmost maximum, on the M part while it is nonzero."""
+        best = pos = -1
+        for col in range(h) if max(deg[:h]) >= 0 else range(h, width):
+            if deg[col] >= 0 and deg[col] + shifts[col] >= best:
+                best, pos = deg[col] + shifts[col], col
+        return pos, best
+
+    pivots = {}  # leading position -> (row, shifted degree)
+    for i in range(len(arrays)):
+        pos, sd = lead(degs[i])
+        while pos in pivots:
+            j, sd_j = pivots[pos]
+            if sd < sd_j:
+                pivots[pos] = (i, sd)
+                i, j = j, i
+            a, b, deg, deg_j = arrays[i], arrays[j], degs[i], degs[j]
+            delta, n = deg[pos] - deg_j[pos], max(deg_j) + 1
+            c = int(a[pos, deg[pos]]) * pow(int(b[pos, deg_j[pos]]), -1, p) % p
+            if a.shape[1] < delta + n:
+                grown = np.zeros((width, max(2 * a.shape[1], delta + n)), dtype=np.int64)
+                grown[:, : a.shape[1]] = a
+                arrays[i] = a = grown
+            window = a[:, delta : delta + n]
+            window -= c * b[:, :n]
+            window %= p
+            # a column's degree can fall only where the two leading terms met
+            for col, d in enumerate(deg_j):
+                if d >= 0:
+                    d += delta
+                    if d > deg[col]:
+                        deg[col] = d
+                    elif d == deg[col]:
+                        nz = np.flatnonzero(a[col, : d + 1])
+                        deg[col] = int(nz[-1]) if nz.size else -1
+            pos, sd = lead(deg)
+        pivots[pos] = (i, sd)
+    return [sd for pos, (_, sd) in pivots.items() if pos >= h]
 
 
 def degree_piece(ideal: IdealSpec, q: int, m: int) -> DegreePiece:
@@ -186,9 +227,12 @@ def pieces(ring: GradedRing, gens, q: int, top: int):
     """DegreePiece of R/(g^q for g in gens) for m = 0..top.
 
     gens are the unpowered generators; q is checked here, and zero powers
-    are dropped.  The only place a route is chosen: one streamed echelon
-    on K[x,y] and on a cone K[x,y,z]/(H) carried to H(Mx) by
-    ``_linear_change``, one map per degree on every other ring.  M is
+    are dropped.  The only place a route is chosen: one kernel basis on
+    K[x,y] and on a cone K[x,y,z]/(H) carried to H(Mx) by
+    ``_linear_change``, one map per degree on every other ring.  On the
+    first, R is free over A on x^l (l < h) and the source on x^k g^q
+    (k < h), so target, source and kernel are all sums of twisted copies of
+    A, and each piece follows from their degrees.  M is
     invertible over F_p, so no colength or h^0 changes, and g^q(Mx) is
     g(Mx)^[q]: the change acts on the degree-d generators, and each power
     is taken in the ring the route runs in.
@@ -202,9 +246,40 @@ def pieces(ring: GradedRing, gens, q: int, top: int):
         gens = [g.substitute(images) for g in gens]
     gens = [g for g in frobenius_power_gens(ring, gens, q) if not g.is_zero()]
     if change is not None or (ring.relation is None and ring.nvars == 2):
-        return _streamed_pieces(ring, gens, top)
+        h = 1 if ring.relation is None else ring.relation.degree()
+        sources = [g.degree() + k for g in gens for k in range(h)]
+        return _split_pieces(range(h), sources, _kernel_twists(ring, gens), top)
     degrees = [g.degree() for g in gens]
     return (_degree_piece(ring, gens, degrees, m) for m in range(top + 1))
+
+
+def _split_pieces(targets, sources, twists, top: int):
+    """DegreePiece for m = 0..top from the degrees of A-bases of target, source and kernel.
+
+    Each dimension is sum_a (m - a + 1)_+ over its degrees a, kept as a
+    running sum of a running count.  colength < 0 or h0 > cols means the
+    twists are wrong.
+    """
+    starts = {}
+    for which, degrees in enumerate((targets, sources, twists)):
+        for a in degrees:
+            starts.setdefault(a, [0, 0, 0])[which] += 1
+    rows = cols = h0 = drows = dcols = dh0 = 0
+    for m in range(top + 1):
+        new = starts.get(m)
+        if new:
+            drows += new[0]
+            dcols += new[1]
+            dh0 += new[2]
+        rows += drows
+        cols += dcols
+        h0 += dh0
+        rank = cols - h0
+        colength = rows - rank
+        if colength < 0 or rank < 0:
+            raise InternalError(f"twists {sorted(twists)} give colength {colength} "
+                                f"and h0 {h0} of {cols} columns in degree {m}")
+        yield DegreePiece(m, colength, h0, rank, rows, cols)
 
 
 @dataclass

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hilbertkunz import engine
-from hilbertkunz.errors import CapExceededError, InternalError, UserError
+from hilbertkunz.errors import CapExceededError, InternalError, NotPrimaryError, UserError
 from hilbertkunz.field import PrimeField
 from hilbertkunz.p1 import splitting_type, verify_h0_profile
 from hilbertkunz.poly import Poly, parse_poly
@@ -225,14 +225,16 @@ def test_primary_ideal_past_the_degree_sum_bound():
 
 
 def test_cones_with_a_point_off_the_curve_take_the_streamed_route(monkeypatch):
-    """With the per-degree route made to fail, IdealSpec and hk_value at q = p
-    still succeed on cones with an F_p-point off the curve: with a pure-power
-    term in H (reordered or not) and without one (the Klein cubic)."""
+    """With the per-degree route and the echelon made to fail, IdealSpec and
+    hk_value at q = p still succeed on cones with an F_p-point off the curve:
+    with a pure-power term in H (reordered or not) and without one (the Klein
+    cubic).  So the kernel route eliminates nothing."""
 
     def refuse(*args):
         raise AssertionError("per-degree route taken")
 
     monkeypatch.setattr(engine, "_degree_piece", refuse)
+    monkeypatch.setattr(engine, "RankBuilder", refuse)
     names = ("x", "y", "z")
     klein = "x^2*y+y^2*z+z^2*x"
     cases = ((5, "x^3+y^3+z^3", 55), (7, "x^3-y^2*z", 113), (5, "x^2*y+y^3+z^3", 55),
@@ -246,13 +248,13 @@ def test_cones_with_a_point_off_the_curve_take_the_streamed_route(monkeypatch):
 
 def test_curves_through_every_fp_point_take_the_per_degree_route(monkeypatch):
     """x^2*y + x*y^2 vanishes on all of F_2^3, so no change of coordinates
-    over F_2 makes it monic in x; with the stream made to fail, phi is as
-    before."""
+    over F_2 makes it monic in x; with the kernel route made to fail, phi is
+    as before."""
 
     def refuse(*args):
-        raise AssertionError("streamed route taken")
+        raise AssertionError("kernel route taken")
 
-    monkeypatch.setattr(engine, "_streamed_pieces", refuse)
+    monkeypatch.setattr(engine, "_kernel_twists", refuse)
     names = ("x", "y", "z")
     R = GradedRing(F2, names, relation=parse_poly("x^2*y+x*y^2", names, F2))
     ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
@@ -270,3 +272,50 @@ def test_q_must_be_prime_power():
             splitting_type(ideal, q)
         with pytest.raises(UserError):
             verify_h0_profile(ideal, q, hn)
+
+
+def test_wrong_twists_raise(monkeypatch):
+    """The kernel route checks colength >= 0 and h0 <= cols in every degree:
+    twists too low claim more syzygies than columns, and too few twists
+    claim a rank above the target dimension."""
+    ideal = fermat_ideal()
+    twists = engine._kernel_twists
+    for wrong in (lambda ring, gens: [0] * len(twists(ring, gens)),
+                  lambda ring, gens: twists(ring, gens)[1:]):
+        monkeypatch.setattr(engine, "_kernel_twists", wrong)
+        with pytest.raises(InternalError):
+            engine.hk_value(ideal, 5)
+
+
+def test_fermat_cubic_at_q625():
+    """phi = (9q^2 - 5)/4 on the Fermat cubic over F_5 (Buchweitz-Chen)."""
+    row = engine.hk_value(fermat_ideal(), 625)
+    assert (row.phi, row.cutoff) == (878905, 938)
+
+
+def test_fermat_quartic_h0_profile_splits():
+    """Over F_3 at q = 27 the kernel twists are q*4/3 + {0..3} and q*5/3 + {0..3},
+    and every h0 of ``pieces`` is the split formula over them."""
+    F = PrimeField(3)
+    names = ("x", "y", "z")
+    R = GradedRing(F, names, relation=parse_poly("x^4+y^4+z^4", names, F))
+    ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
+    twists = list(range(36, 40)) + list(range(45, 49))
+    top = max(twists) + 4
+    h0 = [piece.syzygy_h0 for piece in engine.pieces(R, ideal.gens, 27, top)]
+    assert h0 == [sum(max(0, m - e + 1) for e in twists) for m in range(top + 1)]
+
+
+def test_non_primary_cone_ideal_raises(monkeypatch):
+    """(x, y) on the cusp x^3 - y^2*z over F_7 contains no power of z; the
+    kernel route finds no vanishing degree."""
+
+    def refuse(*args):
+        raise AssertionError("per-degree route taken")
+
+    monkeypatch.setattr(engine, "_degree_piece", refuse)
+    F = PrimeField(7)
+    names = ("x", "y", "z")
+    R = GradedRing(F, names, relation=parse_poly("x^3-y^2*z", names, F))
+    with pytest.raises(NotPrimaryError):
+        IdealSpec(R, (R.parse("x"), R.parse("y")))

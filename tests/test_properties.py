@@ -1,24 +1,25 @@
 """Cross-route property tests on random primary ideals.
 
-Each drawn ideal of F_p[x,y] is run through the streamed route
+Each drawn ideal of F_p[x,y] is run through the kernel route
 (``engine.pieces``), the per-degree route (``_degree_piece``), the
 ambient-ring elimination in ``oracles.py`` and the splitting type, and
-the four must agree.  p = 65521 runs the float64 backend on entries
-near 2^16; p = 2^31 - 1 takes the int64 backend.  For p > 5 only q = 1 is
-drawn: at q = p the degrees run into the tens of thousands.
+the four must agree.  p = 65521 runs the reference's float64 backend on
+entries near 2^16, and p = 2^31 - 1 its int64 backend and the kernel's
+int64 bound c * entry < 2^62.  For p > 5 only q = 1 is drawn: at q = p
+the degrees run into the tens of thousands.
 
 Each drawn ideal of a cone F_p[x,y,z]/(H), deg H in 2..6, is checked
 degree by degree against the same ambient elimination of (H, g_i^q),
 and ``engine.pieces`` against ``_degree_piece`` on the powers g_i^q
-multiplied out and reduced in the original coordinates, so the stream
-is checked against powers it did not take itself.  A random H may have
-an x^h, a y^h or a z^h term or none, so the draws reach the streamed
-route through a permutation of the variables and through a change of
-coordinates that moves an F_p-point off the curve to (1, 0, 0);
-``test_cone_routes_agree`` pins cases of each, and curves through every
-point of F_p^3, which keep the per-degree route.  ``test_linear_change``
-checks that change itself on random forms, some of them vanishing on
-all of F_p^3.
+multiplied out and reduced in the original coordinates, so the kernel
+route is checked against powers it did not take itself; the cone draws
+run at the same p as the binary ones.  A random H may have an x^h, a
+y^h or a z^h term or none, so the draws reach the kernel route through
+a permutation of the variables and through a change of coordinates that
+moves an F_p-point off the curve to (1, 0, 0); ``test_cone_routes_agree``
+pins cases of each, and curves through every point of F_p^3, which keep
+the per-degree route.  ``test_linear_change`` checks that change itself
+on random forms, some of them vanishing on all of F_p^3.
 """
 
 from itertools import product
@@ -82,7 +83,7 @@ def test_routes_agree_on_binary_forms(p, q, data):
     top = max(last, q * ideal.max_pair_degree() + 2)
     oracle = _oracle_colengths(ideal, q, top)
 
-    # streamed pieces equal the per-degree pieces of the plainly multiplied powers
+    # kernel-route pieces equal the per-degree pieces of the plainly multiplied powers
     gens_q = [g**q for g in ideal.gens]
     degrees_q = [q * d for d in ideal.degrees]
     streamed = list(engine.pieces(ideal.ring, ideal.gens, q, last))
@@ -103,7 +104,7 @@ def test_routes_agree_on_binary_forms(p, q, data):
         assert predicted == oracle[m], (m, twists)
 
 
-HYPERSURFACE_CASES = ((2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5))
+HYPERSURFACE_CASES = ((2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5), (65521, 1), (2**31 - 1, 1))
 
 
 def _ternary_form(draw, field, d, k):
