@@ -9,7 +9,6 @@ from .errors import (
     UserError,
 )
 from .field import PrimeField
-from .linalg import RankBuilder
 from .p1 import (
     NotStabilized,
     SplittingType,
@@ -55,7 +54,6 @@ __all__ = [
     "Poly",
     "PrimeField",
     "QuadraticIrrational",
-    "RankBuilder",
     "SplittingType",
     "UserError",
     "add_generator",

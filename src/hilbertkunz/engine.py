@@ -1,4 +1,4 @@
-"""Direct computation of the Hilbert-Kunz function, degree by degree.
+"""The Hilbert-Kunz function of R/I^[q], degree by degree, from one split per q.
 
 Degree m is read from the multiplication map
 
@@ -6,19 +6,19 @@ Degree m is read from the multiplication map
 
 with g_i the reduced q-th generator powers.  The colength of the
 degree-m piece of R/(g_1, ..., g_n) is dim R_m - rank, and the kernel
-dimension is h^0(Syz(g_1..g_n)(m)).  On K[x,y], and on a cone
-K[x,y,z]/(H) made monic in x over F_p (``_linear_change``), R is free
-over A = K[y,z] and so is the syzygy module; its twists e_j come from
-one kernel basis of a polynomial matrix per q (``_kernel_twists``), and
-every degree follows in closed form, h^0(m) = sum_j (m - e_j + 1)_+
-(``_split_pieces``).  Other rings eliminate each degree's map on its own
-(``_degree_piece``), which is also the tests' reference.  ``pieces`` is
-the one place that checks q, takes the Frobenius powers (after the
-change of coordinates, in the ring the route runs in) and picks the
-route, for ``hk_value``, the splitting layer and the primarity check
-(q = 1) alike.  Every piece is checked: a per-degree map against the
-rank-nullity count of the columns it fed, a closed-form piece for
-colength >= 0 and h^0 <= dim of the source.
+dimension is h^0(Syz(g_1..g_n)(m)).  R is K[x,y] or a plane-curve cone
+K[x,y,z]/(H) (``IdealSpec`` rejects every other ring).  ``split`` checks
+q, carries H to H(Mx), monic in x (``_linear_change``), and takes the
+powers.  Then R is free over A = K[y,z] and so is the syzygy module; its
+twists e_j come from one kernel basis of a polynomial matrix
+(``_kernel_twists``), and every degree follows in closed form,
+h^0(m) = sum_j (m - e_j + 1)_+ (``_split_pieces``).  The splitting layer
+reads the same twists.  A curve through every F_p-point has no such
+change, and each degree's map is eliminated on its own
+(``_degree_piece``), which is also the tests' reference.  Every piece is
+checked: a per-degree map against the rank-nullity count of the columns
+it fed, a closed-form piece for colength >= 0 and h^0 <= dim of the
+source.
 """
 
 from __future__ import annotations
@@ -223,34 +223,49 @@ def _linear_change(H: Poly):
     return None
 
 
-def pieces(ring: GradedRing, gens, q: int, top: int):
-    """DegreePiece of R/(g^q for g in gens) for m = 0..top.
+class Split(NamedTuple):
+    """R/(g^q): the ring its route runs in, the nonzero q-th powers there, and the
+    degrees of A-bases of target, source and kernel (None on the per-degree route)."""
 
-    gens are the unpowered generators; q is checked here, and zero powers
-    are dropped.  The only place a route is chosen: one kernel basis on
-    K[x,y] and on a cone K[x,y,z]/(H) carried to H(Mx) by
-    ``_linear_change``, one map per degree on every other ring.  On the
-    first, R is free over A on x^l (l < h) and the source on x^k g^q
-    (k < h), so target, source and kernel are all sums of twisted copies of
-    A, and each piece follows from their degrees.  M is
-    invertible over F_p, so no colength or h^0 changes, and g^q(Mx) is
-    g(Mx)^[q]: the change acts on the degree-d generators, and each power
-    is taken in the ring the route runs in.
+    ring: GradedRing
+    powers: list
+    targets: range | None
+    sources: list | None
+    twists: list | None
+
+
+def split(ring: GradedRing, gens, q: int) -> Split:
+    """Check q, change coordinates, take the powers of gens and pick the route.
+
+    K[x,y], and a cone carried to H(Mx) by ``_linear_change``, take the
+    kernel route: R is free over A on x^l (l < h) and the source on
+    x^k g^q (k < h).  A curve through every F_p-point takes the per-degree
+    route.  M is invertible over F_p, so no colength or h^0 changes, and
+    g^q(Mx) = g(Mx)^[q]: the change acts on the degree-d generators, and
+    each power is taken in the ring the route runs in.
     """
     validate_prime_power(ring.field.p, q)
     H = ring.relation
-    change = _linear_change(H) if H is not None and ring.nvars == 3 else None
+    change = None if H is None else _linear_change(H)
     if change is not None:
         order, images = change
         ring = GradedRing(ring.field, [ring.vars[j] for j in order], H.substitute(images))
         gens = [g.substitute(images) for g in gens]
-    gens = [g for g in frobenius_power_gens(ring, gens, q) if not g.is_zero()]
-    if change is not None or (ring.relation is None and ring.nvars == 2):
-        h = 1 if ring.relation is None else ring.relation.degree()
-        sources = [g.degree() + k for g in gens for k in range(h)]
-        return _split_pieces(range(h), sources, _kernel_twists(ring, gens), top)
-    degrees = [g.degree() for g in gens]
-    return (_degree_piece(ring, gens, degrees, m) for m in range(top + 1))
+    powers = [g for g in frobenius_power_gens(ring, gens, q) if not g.is_zero()]
+    if H is not None and change is None:
+        return Split(ring, powers, None, None, None)
+    h = 1 if H is None else H.degree()
+    sources = [g.degree() + k for g in powers for k in range(h)]
+    return Split(ring, powers, range(h), sources, _kernel_twists(ring, powers))
+
+
+def pieces(ring: GradedRing, gens, q: int, top: int):
+    """DegreePiece of R/(g^q for g in gens) for m = 0..top, on the route ``split`` picks."""
+    s = split(ring, gens, q)
+    if s.twists is not None:
+        return _split_pieces(s.targets, s.sources, s.twists, top)
+    return (_degree_piece(s.ring, s.powers, [g.degree() for g in s.powers], m)
+            for m in range(top + 1))
 
 
 def _split_pieces(targets, sources, twists, top: int):

@@ -1,11 +1,12 @@
 """Exact splitting types and slope data over the projective line.
 
 Over R = K[x,y] every syzygy bundle splits as a direct sum of twists
-O(-e_1) + ... + O(-e_{n-1}), and the global-section profile determines
-the twists: the first difference h0(m) - h0(m-1) counts the twists with
-e_j <= m.  Pulling back under Frobenius scales every twist by p, so
-comparing the twist multisets at two q values tests whether the slope
-data has stabilized.
+O(-e_1) + ... + O(-e_{n-1}).  The twists are the shifted degrees of the
+kernel basis that ``engine.split`` computes for the q-th generator
+powers, the same basis the Hilbert-Kunz function is read from; they fix
+the global-section profile, h0(m) = sum_j (m - e_j + 1)_+.  Pulling back
+under Frobenius scales every twist by p, so comparing the twist
+multisets at two q values tests whether the slope data has stabilized.
 """
 
 from __future__ import annotations
@@ -47,26 +48,10 @@ class NotStabilized:
 
 
 def splitting_type(ideal: IdealSpec, q: int) -> SplittingType:
-    """Recover the twists from second differences of the h0 profile."""
+    """The twists of the q-th generator powers, read from their kernel basis."""
     _require_p1(ideal)
     n = ideal.n
-    cap = q * ideal.max_pair_degree() + 1
-    twists = []
-    prev_h0 = 0
-    prev_delta = 0
-    for piece in engine.pieces(ideal.ring, ideal.gens, q, cap):
-        m, h0 = piece.m, piece.syzygy_h0
-        delta = h0 - prev_h0
-        new = delta - prev_delta
-        if new < 0 or delta > n - 1:
-            raise InternalError(
-                f"h0 profile at q={q}, m={m} is inconsistent with a split bundle"
-            )
-        twists.extend([m] * new)
-        prev_h0, prev_delta = h0, delta
-        if len(twists) == n - 1:
-            break
-    st = SplittingType(q=q, twists=tuple(twists))
+    st = SplittingType(q=q, twists=engine.split(ideal.ring, ideal.gens, q).twists)
     if len(st.twists) != n - 1:
         raise InternalError(
             f"found {len(st.twists)} twists, expected {n - 1} (rank of the bundle)"

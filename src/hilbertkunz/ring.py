@@ -177,9 +177,10 @@ def first_vanishing_degree(ring: GradedRing, gens, bound: int) -> int:
 class IdealSpec:
     """A homogeneous primary ideal given by explicit generators.
 
-    Construction checks homogeneity, records generator degrees, reduces
-    generators to normal form, and finds the primarity degree m0, the
-    first m with (R/I)_m = 0, searching m <= N(D-1)+1 with N = nvars and
+    The ring is F_p[x,y] or a plane-curve cone F_p[x,y,z]/(H), the two
+    classes of the paper.  Construction checks that and homogeneity,
+    records generator degrees, reduces generators to normal form, and
+    finds the primarity degree m0, the first m with (R/I)_m = 0, searching m <= N(D-1)+1 with N = nvars and
     D the largest degree among the generators and the relation.  That
     bound holds for every primary I: I+(H) is primary in K[x_1..x_N] and
     generated in degrees <= D, so over an infinite extension of K it
@@ -194,6 +195,10 @@ class IdealSpec:
     primarity_degree: int = dc_field(init=False)
 
     def __post_init__(self):
+        nvars, relation = self.ring.nvars, self.ring.relation
+        if nvars != (2 if relation is None else 3):
+            raise UserError(f"{self.ring!r}: the ring must be F_p[x,y] or a plane-curve "
+                            "cone F_p[x,y,z]/(H)")
         gens = []
         for g in self.gens:
             g = self.ring.reduce(g)
@@ -206,9 +211,8 @@ class IdealSpec:
             raise UserError("need at least two generators")
         self.gens = tuple(gens)
         self.degrees = tuple(g.degree() for g in gens)
-        relation = self.ring.relation
         D = max(*self.degrees, 1 if relation is None else relation.degree())
-        bound = self.ring.nvars * (D - 1) + 1
+        bound = nvars * (D - 1) + 1
         self.primarity_degree = first_vanishing_degree(self.ring, self.gens, bound)
 
     @property

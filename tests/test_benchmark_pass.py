@@ -1,14 +1,17 @@
-"""One in-process pass of every benchmark workload at seed 1.
+"""Every benchmark workload at seed 1: one pass in-process, one traced worker.
 
 ``benchmarks/worker.py`` runs a pass in a fresh interpreter and prints one
 JSON line; a fault there shows only as a malformed or failed benchmark
-run.  This test runs the same steps in-process: draw, build, every
+run.  The in-process test runs the same steps: draw, build, every
 operation, each operation's check, and the ``summary`` the digest covers,
-which must serialize to JSON.
+which must serialize to JSON.  The traced test runs the worker itself
+with ``--trace`` and checks that its layer boundaries still resolve.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +19,9 @@ import pytest
 
 import hilbertkunz as hk
 
-SOURCE = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "benchmarks" / "workloads.py"
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def _load_workloads():
@@ -58,3 +63,26 @@ def test_workload_pass(name):
             rows.append([op.label, workloads.summary(results[op.label])])
     assert failures == []
     assert json.loads(json.dumps(rows, sort_keys=True)) == rows
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in SPEC["workloads"]])
+def test_traced_worker_reports_every_layer(name):
+    """A traced worker's last line is a result listing every per-layer metric.
+
+    ``run.py`` adds the ``ladder.*`` and ``oracle.s`` metrics from the
+    untraced passes; every other per-layer name must come from the trace.
+    No byte code is written, so ``benchmarks/`` is left as it was.
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "worker.py"),
+         "--workload", name, "--seed", "1", "--trace"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failures"] == []
+    traced = {m["name"] for m in SPEC["per_layer"]
+              if not m["name"].startswith("ladder.") and m["name"] != "oracle.s"}
+    assert sorted(traced - set(result["layers"])) == []

@@ -210,3 +210,11 @@ def test_determinism(capsys):
     _, out1, _ = run_cli(argv, capsys)
     _, out2, _ = run_cli(argv, capsys)
     assert out1 == out2
+
+
+def test_compute_rejects_free_ring_in_three_variables(capsys):
+    code, out, err = run_cli(
+        ["compute", "--p", "5", "--vars", "x,y,z", "--gens", "x;y;z", "--q", "5"], capsys
+    )
+    assert code == 1
+    assert "cone" in err

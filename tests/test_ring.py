@@ -120,6 +120,21 @@ def test_ideal_spec_validation():
         IdealSpec(R, (R.parse("0"), R.parse("y")))  # zero generator
 
 
+@pytest.mark.parametrize("names", [("x",), ("x", "y", "z")])
+def test_free_rings_outside_two_variables_rejected(names):
+    """Only F_p[x,y] and plane-curve cones are the paper's rings."""
+    R = GradedRing(F5, names)
+    with pytest.raises(UserError):  # each variable twice: two generators even on F_5[x]
+        IdealSpec(R, tuple(R.parse(v) for v in names) * 2)
+
+
+def test_hypersurface_outside_three_variables_rejected():
+    names = ("x", "y")
+    R = GradedRing(F5, names, relation=parse_poly("x^2+y^2", names, F5))
+    with pytest.raises(UserError):
+        IdealSpec(R, (R.parse("x"), R.parse("y")))
+
+
 def test_not_primary_detected():
     R = GradedRing(F5, ("x", "y"))
     with pytest.raises(NotPrimaryError):
