@@ -10,8 +10,9 @@ dimension is h^0(Syz(g_1..g_n)(m)).  R is K[x,y] or a plane-curve cone
 K[x,y,z]/(H) (``IdealSpec`` rejects every other ring).  ``split`` checks
 q, carries H to H(Mx), monic in x (``_linear_change``), and takes the
 powers.  Then R is free over A = K[y,z] and so is the syzygy module; its
-twists e_j come from one kernel basis of a polynomial matrix
-(``_kernel_twists``), and every degree follows in closed form,
+twists e_j come from one kernel basis of a polynomial matrix over K[t]
+(``_kernel_twists``, each polynomial packed into one Python int, a
+coefficient per fixed-width slot), and every degree follows in closed form,
 h^0(m) = sum_j (m - e_j + 1)_+ (``_split_pieces``).  The splitting layer
 reads the same twists.  A curve through every F_p-point has no such
 change, and each degree's map is eliminated on its own
@@ -26,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, product
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import CapExceededError, InternalError, UserError
 from .linalg import RankBuilder
@@ -100,6 +99,34 @@ def _degree_piece(ring: GradedRing, gens, degrees, m: int) -> DegreePiece:
     return DegreePiece(m, colength, h0, rank, rows, cols)
 
 
+def _reduce_slots(x: int, p: int, w: int) -> int:
+    """x with each w-bit slot (the coefficient of t^k in slot k) reduced mod p.
+
+    The slots go in three strands of every third slot, so each sits alone
+    in 3w bits, and a strand is reduced by a few big-int operations:
+    floor(v / p) = (v m) >> s for every v < 2^w, with s = w + bitlen(p)
+    and m = ceil(2^s / p) (Granlund-Montgomery: m p - 2^s < p <= 2^(s - w)).
+    v m < 2^(2w + 2) <= 2^(3w) and s <= 2w, so no product or quotient
+    reaches another slot, and v - p floor(v / p) borrows from none.
+    """
+    s = w + p.bit_length()
+    m = -(-(1 << s) // p)
+    strand = ((1 << w) - 1).to_bytes(3 * w // 8, "little")  # one w-bit slot in 3w bits
+    low = int.from_bytes(strand * -(-x.bit_length() // (3 * w)), "little")
+    out = 0
+    for j in range(3):
+        v = x >> j * w & low
+        out |= v - p * (v * m >> s & low) << j * w
+    return out
+
+
+def _strip(x: int, p: int, w: int) -> int:
+    """x without its top w-bit slots that are 0 mod p, whether 0 as integers or not."""
+    while x and (x >> (top := (x.bit_length() - 1) // w * w)) % p == 0:
+        x &= (1 << top) - 1
+    return x
+
+
 def _kernel_twists(ring: GradedRing, gens) -> list:
     """Twists of Syz(gens): the shifted degrees of an s-reduced kernel basis.
 
@@ -125,67 +152,75 @@ def _kernel_twists(ring: GradedRing, gens) -> list:
     kernel, for any rank of M.  By the predictable-degree property,
     h0(m) = sum_j (m - e_j + 1)_+ over their shifted degrees e_j.
 
-    Entries are kept in [0, p) as int64.  p < 2^31, so c * entry < 2^62 and
-    every update entry - c * entry is exact, for every p.  A row's storage
-    grows with its length.
+    Each entry is one Python int with the coefficient of t^k in the w-bit
+    slot k, w the least of 16, 32, 64 with 4 p (p - 1) < 2^w, so a
+    transformation is a - c t^delta b = a + ((p - c) b << delta w) on every
+    column.  Pivot rows have every slot below p, so one transformation adds
+    at most (p - 1)^2 to a slot of the other row; its slots are reduced mod
+    p (``_reduce_slots``) after every room = (2^w - p) // (p - 1)^2 of them,
+    and when it is installed as a pivot.  No slot reaches 2^w, so none
+    carries into the next, and the result is exact for every p.  After
+    each transformation ``_strip`` drops a column's top slots that are
+    0 mod p (there are some only where two leading terms met, and there
+    the top slot is a nonzero multiple of p), so the top slot of a nonzero
+    column is nonzero mod p and its degree is (bit length - 1) // w.
     """
     p = ring.field.p
     free = ring.relation is None
     h = 1 if free else ring.relation.degree()
+    w = next(w for w in (16, 32, 64) if 4 * p * (p - 1) < 1 << w)
+    room = ((1 << w) - p) // (p - 1) ** 2
     # target column l, without the constant, then identity column (g, k)
     shifts = list(range(h)) + [g.degree() + k for g in gens for k in range(h)]
     width = len(shifts)
-    arrays, degs = [], []  # per row: coefficients (column, t) and column degrees, -1 for zero
+    rows = []  # per row: one packed int per column
     for r, (g, k) in enumerate((g, k) for g in gens for k in range(h)):
         terms = g.terms if k == 0 else ring.reduce_terms(
             {(e[0] + k,) + e[1:]: c for e, c in g.terms.items()})
-        entries = {(0 if free else e[0], e[-1]): c for e, c in terms.items()}
-        entries[h + r, 0] = 1
-        deg = [-1] * width
-        for l, t in entries:
-            deg[l] = max(deg[l], t)
-        a = np.zeros((width, max(deg) + 1), dtype=np.int64)
-        for (l, t), c in entries.items():
-            a[l, t] = c
-        arrays.append(a)
-        degs.append(deg)
+        row = [0] * width
+        for e, c in terms.items():
+            row[0 if free else e[0]] += c << e[-1] * w
+        row[h + r] = 1
+        rows.append(row)
 
-    def lead(deg):
+    def lead(row):
         """(position, shifted degree): the rightmost maximum, on the M part while it is nonzero."""
         best = pos = -1
-        for col in range(h) if max(deg[:h]) >= 0 else range(h, width):
-            if deg[col] >= 0 and deg[col] + shifts[col] >= best:
-                best, pos = deg[col] + shifts[col], col
+        for col in range(h) if any(row[:h]) else range(h, width):
+            if row[col]:
+                sd = (row[col].bit_length() - 1) // w + shifts[col]
+                if sd >= best:
+                    best, pos = sd, col
         return pos, best
 
-    pivots = {}  # leading position -> (row, shifted degree)
-    for i in range(len(arrays)):
-        pos, sd = lead(degs[i])
+    def reduced(row):
+        return [_reduce_slots(x, p, w) for x in row]
+
+    pivots = {}  # leading position -> (row, shifted degree); pivot rows are reduced
+    for i in range(len(rows)):
+        pos, sd = lead(rows[i])
+        fill = 0  # transformations row i took since its slots were last reduced
         while pos in pivots:
             j, sd_j = pivots[pos]
             if sd < sd_j:
+                if fill:
+                    rows[i] = reduced(rows[i])
                 pivots[pos] = (i, sd)
-                i, j = j, i
-            a, b, deg, deg_j = arrays[i], arrays[j], degs[i], degs[j]
-            delta, n = deg[pos] - deg_j[pos], max(deg_j) + 1
-            c = int(a[pos, deg[pos]]) * pow(int(b[pos, deg_j[pos]]), -1, p) % p
-            if a.shape[1] < delta + n:
-                grown = np.zeros((width, max(2 * a.shape[1], delta + n)), dtype=np.int64)
-                grown[:, : a.shape[1]] = a
-                arrays[i] = a = grown
-            window = a[:, delta : delta + n]
-            window -= c * b[:, :n]
-            window %= p
-            # a column's degree can fall only where the two leading terms met
-            for col, d in enumerate(deg_j):
-                if d >= 0:
-                    d += delta
-                    if d > deg[col]:
-                        deg[col] = d
-                    elif d == deg[col]:
-                        nz = np.flatnonzero(a[col, : d + 1])
-                        deg[col] = int(nz[-1]) if nz.size else -1
-            pos, sd = lead(deg)
+                i, j, fill = j, i, 0
+            a, b = rows[i], rows[j]
+            top, top_j = (a[pos].bit_length() - 1) // w, (b[pos].bit_length() - 1) // w
+            c = (a[pos] >> top * w) * pow(b[pos] >> top_j * w, -1, p) % p
+            shift = (top - top_j) * w
+            for col, y in enumerate(b):
+                if y:
+                    a[col] = _strip(a[col] + ((p - c) * y << shift), p, w)
+            fill += 1
+            if fill == room:
+                rows[i] = a = reduced(a)
+                fill = 0
+            pos, sd = lead(a)
+        if fill:
+            rows[i] = reduced(rows[i])
         pivots[pos] = (i, sd)
     return [sd for pos, (_, sd) in pivots.items() if pos >= h]
 

@@ -319,3 +319,70 @@ def test_non_primary_cone_ideal_raises(monkeypatch):
     R = GradedRing(F, names, relation=parse_poly("x^3-y^2*z", names, F))
     with pytest.raises(NotPrimaryError):
         IdealSpec(R, (R.parse("x"), R.parse("y")))
+
+
+@pytest.mark.parametrize("p,w", [(2, 16), (5, 16), (257, 32), (65521, 64), (2**31 - 1, 64)])
+def test_reduce_slots_matches_per_slot_mod(p, w):
+    """The packed reduction equals % p slot by slot, on slots up to 2^w - 1."""
+    rng = random.Random(p)
+    full = (1 << w) - 1
+    for n in [*range(1, 8), 50, 301]:
+        for _ in range(20):
+            slots = [rng.choice((0, 1, p - 1, p, full - full % p, full, rng.randrange(full)))
+                     for _ in range(n - 1)] + [rng.randrange(1, full + 1)]
+            x = sum(v << k * w for k, v in enumerate(slots))
+            assert engine._reduce_slots(x, p, w) == sum(v % p << k * w for k, v in enumerate(slots))
+
+
+def test_kernel_reduces_full_slots_at_the_largest_prime(monkeypatch):
+    """At p = 2^31 - 1 a slot is 64 bits and takes room = 4 transformations
+    between reductions: slots holding sums of several products (>= p^2)
+    reach ``_reduce_slots``, and the pieces equal the per-degree reference.
+    Dense forms with coefficients up to p - 1 fill the slots; without the
+    reduction after every room transformations, this cone's slots carry."""
+    p = 2**31 - 1
+    F = PrimeField(p)
+    rng = random.Random(5)
+
+    def dense(d):
+        return Poly(F, 3, {(a, b, d - a - b): rng.randrange(1, p)
+                           for a in range(d + 1) for b in range(d + 1 - a)})
+
+    largest = []
+    reduce_slots = engine._reduce_slots
+
+    def recording(x, p, w):
+        largest.append(max((x >> k & ((1 << w) - 1) for k in range(0, x.bit_length(), w)), default=0))
+        return reduce_slots(x, p, w)
+
+    monkeypatch.setattr(engine, "_reduce_slots", recording)
+    R = GradedRing(F, ("x", "y", "z"), relation=dense(3))  # x^3 in H: no change of coordinates
+    gens = [dense(1), dense(2), dense(2)]
+    top = 10
+    got = list(engine.pieces(R, gens, 1, top))
+    assert largest and max(largest) >= p * p
+    assert got == [engine._degree_piece(R, gens, [1, 2, 2], m) for m in range(top + 1)]
+
+
+def test_kernel_strips_top_slots_that_are_zero_mod_p_but_not_zero(monkeypatch):
+    """Over F_2 the leading terms meet as 1 + 1 = 2: the top slot is 0 mod 2
+    but not 0, and runs of such slots are stripped until the top is odd.
+    The pieces equal the per-degree reference."""
+    stripped = []
+    strip = engine._strip
+
+    def recording(x, p, w):
+        out = strip(x, p, w)
+        d = (x.bit_length() - 1) // w
+        stripped.append((x >> d * w, d - (out.bit_length() - 1) // w))
+        return out
+
+    monkeypatch.setattr(engine, "_strip", recording)
+    names = ("x", "y", "z")
+    R = GradedRing(F2, names, relation=parse_poly("x^3+y^2*z+z^3", names, F2))
+    gens = [R.parse(t) for t in ("x+y", "y*z+x^2", "z^2+x*y")]
+    top = 50
+    got = list(engine.pieces(R, gens, 16, top))
+    assert any(t % 2 == 0 and t and n >= 2 for t, n in stripped)
+    powers = engine.frobenius_power_gens(R, gens, 16)
+    assert got == [engine._degree_piece(R, powers, [16, 32, 32], m) for m in range(top + 1)]

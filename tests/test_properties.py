@@ -3,9 +3,9 @@
 Each drawn ideal of F_p[x,y] is run through the kernel route
 (``engine.pieces``), the per-degree route (``_degree_piece``), the
 ambient-ring elimination in ``oracles.py`` and the splitting type, and
-the four must agree.  p = 65521 runs the reference's float64 backend on
-entries near 2^16, and p = 2^31 - 1 its int64 backend and the kernel's
-int64 bound c * entry < 2^62.  For p > 5 only q = 1 is drawn: at q = p
+the four must agree.  p = 65521 and p = 2^31 - 1 run the kernel on 64-bit
+slots, and at 2^31 - 1 a slot takes only (2^64 - p) // (p - 1)^2 = 4
+transformations between reductions.  For p > 5 only q = 1 is drawn: at q = p
 the degrees run into the tens of thousands.
 
 Each drawn ideal of a cone F_p[x,y,z]/(H), deg H in 2..6, is checked
