@@ -275,12 +275,17 @@ def cmd_formula(args) -> int:
     return EXIT_OK
 
 
-def _read_phi_csv(path: str) -> list:
+def _read_phi_csv(path: str) -> tuple:
+    """The (q, phi) rows, and the config of a `# key = value` header as `compute` writes it."""
     rows = []
+    header = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for raw in fh:
                 line = raw.strip()
+                if line.startswith("#") and "=" in line:
+                    key, _, value = line[1:].partition("=")
+                    header[key.strip()] = value.strip()
                 if not line or line.startswith("#") or line == "q,phi":
                     continue
                 parts = line.split(",")
@@ -293,11 +298,11 @@ def _read_phi_csv(path: str) -> list:
         raise UserError(f"{path}: non-integer table entry ({exc})")
     if len(rows) < 2:
         raise UserError(f"{path}: need at least two (q, phi) rows")
-    return rows
+    return rows, header
 
 
 def cmd_reconstruct(args) -> int:
-    rows = _read_phi_csv(args.table)
+    rows, header = _read_phi_csv(args.table)
     if args.bound is not None:
         bound = args.bound
     else:
@@ -312,9 +317,12 @@ def cmd_reconstruct(args) -> int:
     window = _frac(args.window) if args.window else None
     window_constant = args.window_constant
     if window is None and window_constant is None:
-        # a bare CSV does not carry the generator degrees, so the usual
-        # 4 * sum(d_i) default is unavailable; 16 covers the corpus cases
-        window_constant = 16
+        if "gens" in header and "p" in header:
+            # the ideal in the header gives the library's 4 * sum(d_i)
+            window_constant = 4 * sum(build_ideal(header).degrees)
+        else:
+            # a bare CSV does not carry the generator degrees; 16 covers the corpus cases
+            window_constant = 16
     try:
         value, report = estimate_ehk(
             rows, bound, window=window, window_constant=window_constant

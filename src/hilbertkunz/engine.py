@@ -8,10 +8,11 @@ with g_i the reduced q-th generator powers.  The colength of the
 degree-m piece of R/(g_1, ..., g_n) is dim R_m - rank, and the kernel
 dimension is h^0(Syz(g_1..g_n)(m)).  R is K[x,y] or a plane-curve cone
 K[x,y,z]/(H) (``IdealSpec`` rejects every other ring).  ``split`` checks
-q, carries H to H(Mx), monic in x (``_linear_change``), and takes the
-powers.  Then R is free over A = K[y,z] and so is the syzygy module; its
-twists e_j come from one kernel basis of a polynomial matrix over K[t]
-(``_kernel_twists``, each polynomial packed into one Python int, a
+q and carries H to H(Mx), monic in x (``_linear_change``).  Then R is free
+over A = K[y,z] and so is the syzygy module; its twists e_j come from one
+kernel basis of a polynomial matrix over K[t] (``_kernel_twists``), whose
+rows, the normal forms of x^k g^q, are computed in K[t][x]/(H) by products
+of packed ints (``_kernel_rows``: each polynomial is one Python int, a
 coefficient per fixed-width slot), and every degree follows in closed form,
 h^0(m) = sum_j (m - e_j + 1)_+ (``_split_pieces``).  The splitting layer
 reads the same twists.  A curve through every F_p-point has no such
@@ -109,6 +110,8 @@ def _reduce_slots(x: int, p: int, w: int) -> int:
     v m < 2^(2w + 2) <= 2^(3w) and s <= 2w, so no product or quotient
     reaches another slot, and v - p floor(v / p) borrows from none.
     """
+    if not x:
+        return 0
     s = w + p.bit_length()
     m = -(-(1 << s) // p)
     strand = ((1 << w) - 1).to_bytes(3 * w // 8, "little")  # one w-bit slot in 3w bits
@@ -127,17 +130,134 @@ def _strip(x: int, p: int, w: int) -> int:
     return x
 
 
-def _kernel_twists(ring: GradedRing, gens) -> list:
-    """Twists of Syz(gens): the shifted degrees of an s-reduced kernel basis.
+def _slot_width(p: int) -> int:
+    """The kernel's slot width: the least of 16, 32, 64 with 4 p (p - 1) < 2^w."""
+    return next(w for w in (16, 32, 64) if 4 * p * (p - 1) < 1 << w)
+
+
+_WORD = {16: "H", 32: "I", 64: "Q"}  # memoryview format of a w-bit slot
+
+
+def _narrow(x: int, wide: int, w: int) -> int:
+    """x, its slots wide bits apart and each below 2^w, in w-bit slots.
+
+    wide is a multiple of w, so the low w bits of every slot are every
+    (wide / w)-th w-bit word of x: one strided memoryview copies them.
+    """
+    if wide == w:
+        return x
+    n = -(-x.bit_length() // wide)
+    view = memoryview(x.to_bytes(n * wide // 8, "little")).cast(_WORD[w])
+    return int.from_bytes(view[::wide // w].tobytes(), "little")
+
+
+def _kernel_rows(ring: GradedRing, gens, q: int) -> list:
+    """Rows (s, entries) of the kernel matrix M of the q-th powers of gens.
 
     R is K[x,y], or a cone K[x,y,z]/(H) with LT(H) = x^h, so R is free over
     A = K[y,z] on 1, x, .., x^(h-1); on K[x,y], h = 1 and R is A, with x in
-    the role of y.  Row (g, k), k < h, of the polynomial matrix M holds the
-    coefficients of x^l, l < h, in NF(x^k g), with y (a cone) or x (K[x,y])
-    set to 1: polynomials in t, the last variable.  Setting it to 1 is a
-    bijection on forms of a fixed degree, so the degree-m syzygies are the
-    u over K[t] with u M = 0 and deg u_(g,k) <= m - s_(g,k), where
-    s_(g,k) = deg g + k.
+    the role of y.  Row (g, k), k < h, has source degree s = q deg g + k,
+    and entries[l] is the coefficient of x^l in NF(x^k g^q), with y (a cone)
+    or x (K[x,y]) set to 1: a polynomial in t, the last variable, packed
+    into one int with the coefficient of t^i in the w-bit slot i
+    (``_slot_width``), every slot below p.  A g with NF(g^q) = 0 gives no
+    rows.  On K[x,y], g^q = sum c_e x^(q e_x) y^(q e_y) is its own row, the
+    slot spread of g.
+
+    On a cone the rows are computed in B = K[t][x]/(H(x,1,t)), free on
+    x^l, l < h, each element h packed ints.  The companion x^h =
+    sum_l c_l(t) x^l comes from the tail of H.  Over F_p, g^q =
+    sum_e c_e x^(q e_0) t^(q e_2), so NF(g^q) = sum_e c_e X^(e_0) t^(q e_2)
+    with X = NF(x^q), taken by square-and-multiply in B; row (g, k + 1) is
+    x times row (g, k): a shift in x and one companion step.  A product in
+    K[t] is one product of ints (Kronecker substitution), in W-bit slots,
+    W the least multiple of w with 2 h L (p - 1)^2 < 2^W,
+    L = max(q D + h + 1, T), D the largest degree and T the most terms of
+    a generator.  The factors of a product in B are powers NF(x^m),
+    m <= q D, whose entries have at most q D + 1 slots.  Such a product
+    sums at most h products of entries at each power of x, then adds at
+    most h - 1 products r c_l (r reduced, c_l of at most h + 1 slots) at
+    each power below h: a slot sums at most h L + (h - 1) L products of two
+    residues.  The sum over the terms of g adds at most T of them, and a
+    companion step adds h + 1 of them to a residue.  No slot reaches 2^W,
+    so none carries, and one ``_reduce_slots`` after each step makes the
+    result exact for every p.  Each entry is then narrowed to w-bit slots
+    (``_narrow``), with no loop per coefficient.
+    """
+    p = ring.field.p
+    w = _slot_width(p)
+    if ring.relation is None:
+        rows = ((q * g.degree(), sum(c << q * e[-1] * w for e, c in g.terms.items()))
+                for g in gens)
+        return [(s, [entry]) for s, entry in rows if entry]
+    h = ring.relation.degree()
+    L = max(q * max((g.degree() for g in gens), default=0) + h + 1,
+            max((len(g.terms) for g in gens), default=0))
+    W = w * -(-(2 * h * L * (p - 1) ** 2).bit_length() // w)
+    companion = [0] * h
+    for e, c in ring._tail.items():
+        companion[e[0]] += c << e[-1] * W
+
+    def times_x(v):
+        """x v in B, v reduced."""
+        out = [0] + v[:-1]
+        if v[-1]:
+            for l, c in enumerate(companion):
+                if c:
+                    out[l] = _reduce_slots(out[l] + v[-1] * c, p, W)
+        return out
+
+    def times(a, b):
+        """a b in B, a and b reduced."""
+        prod = [0] * (2 * h - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        for k in range(2 * h - 2, h - 1, -1):
+            top = _reduce_slots(prod[k], p, W)
+            if top:
+                for l, c in enumerate(companion):
+                    if c:
+                        prod[k - h + l] += top * c
+        return [_reduce_slots(x, p, W) for x in prod[:h]]
+
+    one = [1] + [0] * (h - 1)
+    X = times_x(one)
+    for bit in f"{q:b}"[1:]:
+        X = times(X, X)
+        if bit == "1":
+            X = times_x(X)
+    powers = [one]  # X^j
+    for _ in range(max((e[0] for g in gens for e in g.terms), default=0)):
+        powers.append(times(powers[-1], X))
+    rows = []
+    for g in gens:
+        acc = [0] * h
+        for e, c in g.terms.items():
+            for l, a in enumerate(powers[e[0]]):
+                if a:
+                    acc[l] += c * a << q * e[-1] * W
+        row = [_reduce_slots(a, p, W) for a in acc]
+        if not any(row):
+            continue
+        s = q * g.degree()
+        for k in range(h):
+            if k:
+                row = times_x(row)
+            rows.append((s + k, [_narrow(a, W, w) for a in row]))
+    return rows
+
+
+def _kernel_twists(ring: GradedRing, rows) -> list:
+    """Twists of Syz(gens): the shifted degrees of an s-reduced kernel basis.
+
+    ``rows`` holds, for each row (g, k) of the polynomial matrix M, its
+    source degree s_(g,k) and its h packed entries (``_kernel_rows``).
+    Setting y (a cone) or x (K[x,y]) to 1 is a bijection on forms of a
+    fixed degree, so the degree-m syzygies are the u over K[t] with
+    u M = 0 and deg u_(g,k) <= m - s_(g,k).
 
     [M | I] is reduced to weak Popov form by Mulders-Storjohann simple
     transformations: while two rows share a leading position (the
@@ -153,11 +273,12 @@ def _kernel_twists(ring: GradedRing, gens) -> list:
     h0(m) = sum_j (m - e_j + 1)_+ over their shifted degrees e_j.
 
     Each entry is one Python int with the coefficient of t^k in the w-bit
-    slot k, w the least of 16, 32, 64 with 4 p (p - 1) < 2^w, so a
-    transformation is a - c t^delta b = a + ((p - c) b << delta w) on every
-    column.  Pivot rows have every slot below p, so one transformation adds
-    at most (p - 1)^2 to a slot of the other row; its slots are reduced mod
-    p (``_reduce_slots``) after every room = (2^w - p) // (p - 1)^2 of them,
+    slot k (``_slot_width``: the least of 16, 32, 64 with
+    4 p (p - 1) < 2^w), every slot below p on input, so a transformation
+    is a - c t^delta b = a + ((p - c) b << delta w) on every column.  Pivot
+    rows have every slot below p, so one transformation adds at most
+    (p - 1)^2 to a slot of the other row; its slots are reduced mod p
+    (``_reduce_slots``) after every room = (2^w - p) // (p - 1)^2 of them,
     and when it is installed as a pivot.  No slot reaches 2^w, so none
     carries into the next, and the result is exact for every p.  After
     each transformation ``_strip`` drops a column's top slots that are
@@ -166,22 +287,14 @@ def _kernel_twists(ring: GradedRing, gens) -> list:
     column is nonzero mod p and its degree is (bit length - 1) // w.
     """
     p = ring.field.p
-    free = ring.relation is None
-    h = 1 if free else ring.relation.degree()
-    w = next(w for w in (16, 32, 64) if 4 * p * (p - 1) < 1 << w)
+    h = 1 if ring.relation is None else ring.relation.degree()
+    w = _slot_width(p)
     room = ((1 << w) - p) // (p - 1) ** 2
     # target column l, without the constant, then identity column (g, k)
-    shifts = list(range(h)) + [g.degree() + k for g in gens for k in range(h)]
+    shifts = list(range(h)) + [s for s, _ in rows]
     width = len(shifts)
-    rows = []  # per row: one packed int per column
-    for r, (g, k) in enumerate((g, k) for g in gens for k in range(h)):
-        terms = g.terms if k == 0 else ring.reduce_terms(
-            {(e[0] + k,) + e[1:]: c for e, c in g.terms.items()})
-        row = [0] * width
-        for e, c in terms.items():
-            row[0 if free else e[0]] += c << e[-1] * w
-        row[h + r] = 1
-        rows.append(row)
+    rows = [entries + [0] * r + [1] + [0] * (width - h - r - 1)
+            for r, (_, entries) in enumerate(rows)]  # per row: one packed int per column
 
     def lead(row):
         """(position, shifted degree): the rightmost maximum, on the M part while it is nonzero."""
@@ -259,11 +372,12 @@ def _linear_change(H: Poly):
 
 
 class Split(NamedTuple):
-    """R/(g^q): the ring its route runs in, the nonzero q-th powers there, and the
-    degrees of A-bases of target, source and kernel (None on the per-degree route)."""
+    """R/(g^q): the ring its route runs in, the nonzero q-th powers there (per-degree
+    route only), and the degrees of A-bases of target, source and kernel (kernel
+    route only; None on the other)."""
 
     ring: GradedRing
-    powers: list
+    powers: list | None
     targets: range | None
     sources: list | None
     twists: list | None
@@ -274,24 +388,26 @@ def split(ring: GradedRing, gens, q: int) -> Split:
 
     K[x,y], and a cone carried to H(Mx) by ``_linear_change``, take the
     kernel route: R is free over A on x^l (l < h) and the source on
-    x^k g^q (k < h).  A curve through every F_p-point takes the per-degree
-    route.  M is invertible over F_p, so no colength or h^0 changes, and
+    x^k g^q (k < h), and the rows NF(x^k g^q) are built as packed vectors
+    over K[t] (``_kernel_rows``), with no Poly power taken.  A curve
+    through every F_p-point takes the per-degree route, on the reduced
+    powers.  M is invertible over F_p, so no colength or h^0 changes, and
     g^q(Mx) = g(Mx)^[q]: the change acts on the degree-d generators, and
     each power is taken in the ring the route runs in.
     """
     validate_prime_power(ring.field.p, q)
     H = ring.relation
     change = None if H is None else _linear_change(H)
+    if H is not None and change is None:
+        return Split(ring, [g for g in frobenius_power_gens(ring, gens, q) if not g.is_zero()],
+                     None, None, None)
     if change is not None:
         order, images = change
         ring = GradedRing(ring.field, [ring.vars[j] for j in order], H.substitute(images))
         gens = [g.substitute(images) for g in gens]
-    powers = [g for g in frobenius_power_gens(ring, gens, q) if not g.is_zero()]
-    if H is not None and change is None:
-        return Split(ring, powers, None, None, None)
+    rows = _kernel_rows(ring, gens, q)
     h = 1 if H is None else H.degree()
-    sources = [g.degree() + k for g in powers for k in range(h)]
-    return Split(ring, powers, range(h), sources, _kernel_twists(ring, powers))
+    return Split(ring, None, range(h), [s for s, _ in rows], _kernel_twists(ring, rows))
 
 
 def pieces(ring: GradedRing, gens, q: int, top: int):

@@ -134,6 +134,23 @@ def test_reconstruct_round_trip(tmp_path, capsys):
     assert "nu2 = 3/2" in out
 
 
+def test_reconstruct_window_reads_the_ideal_from_the_header(tmp_path, capsys):
+    """A `compute --out` table carries the ideal, so the window is 4 * sum(d_i) / q1
+    = 12/5 for (x,y,z) at q = 5, 25; the same rows without the header keep 16/5."""
+    table = tmp_path / "phi.csv"
+    argv = ["compute", "--p", "5", "--vars", "x,y,z", "--hypersurface", "x^3+y^3+z^3",
+            "--gens", "x;y;z", "--q", "5,25", "--out", str(table)]
+    assert run_cli(argv, capsys)[0] == 0
+    bare = tmp_path / "bare.csv"
+    bare.write_text("".join(line for line in table.read_text().splitlines(True)
+                            if not line.startswith("#")))
+    for path, window in ((table, "12/5"), (bare, "16/5")):
+        code, out, _ = run_cli(["reconstruct", "--table", str(path)], capsys)
+        assert code == 0
+        assert "ehk = 9/4" in out
+        assert f"window = {window}" in out
+
+
 def test_reconstruct_default_bound_reads_p_from_prime_factor(tmp_path, capsys):
     """A table starting at q = 25 gets the same p = 5 and e = 3 as one
     starting at q = 5, and a table without q > 1 is a user error."""

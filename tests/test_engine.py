@@ -228,10 +228,14 @@ def test_cones_with_a_point_off_the_curve_take_the_streamed_route(monkeypatch):
     """With the per-degree route and the echelon made to fail, IdealSpec and
     hk_value at q = p still succeed on cones with an F_p-point off the curve:
     with a pure-power term in H (reordered or not) and without one (the Klein
-    cubic).  So the kernel route eliminates nothing."""
+    cubic).  So the kernel route eliminates nothing, and with
+    ``reduce_terms`` made to fail too, hk_value and split still succeed."""
 
     def refuse(*args):
         raise AssertionError("per-degree route taken")
+
+    def refuse_reduce(*args):
+        raise AssertionError("reduce_terms called")
 
     monkeypatch.setattr(engine, "_degree_piece", refuse)
     monkeypatch.setattr(engine, "RankBuilder", refuse)
@@ -243,7 +247,11 @@ def test_cones_with_a_point_off_the_curve_take_the_streamed_route(monkeypatch):
         F = PrimeField(p)
         R = GradedRing(F, names, relation=parse_poly(relation, names, F))
         ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
-        assert engine.hk_value(ideal, p).phi == phi
+        with monkeypatch.context() as m:
+            # the rows are normal forms in B = K[t][x]/(H), not reductions of term dicts
+            m.setattr(GradedRing, "reduce_terms", refuse_reduce)
+            assert engine.hk_value(ideal, p).phi == phi
+            assert engine.split(R, ideal.gens, p).twists
 
 
 def test_curves_through_every_fp_point_take_the_per_degree_route(monkeypatch):
@@ -291,6 +299,33 @@ def test_fermat_cubic_at_q625():
     """phi = (9q^2 - 5)/4 on the Fermat cubic over F_5 (Buchweitz-Chen)."""
     row = engine.hk_value(fermat_ideal(), 625)
     assert (row.phi, row.cutoff) == (878905, 938)
+
+
+def test_fermat_cubic_at_q15625():
+    """q = 5^6: the rows are wider than the kernel's slots (W = 32, w = 16)."""
+    q = 15625
+    row = engine.hk_value(fermat_ideal(), q)
+    assert (row.phi, row.cutoff) == ((9 * q * q - 5) // 4, 23438)
+
+
+def test_klein_cubic_at_q625():
+    """(x,y,z) on the Klein cubic over F_5, which takes the kernel route
+    through a change of coordinates with a dense H(Mx)."""
+    names = ("x", "y", "z")
+    R = GradedRing(F5, names, relation=parse_poly("x^2*y+y^2*z+z^2*x", names, F5))
+    row = engine.hk_value(IdealSpec(R, tuple(R.parse(v) for v in names)), 625)
+    assert (row.phi, row.cutoff) == (878905, 938)
+
+
+@pytest.mark.parametrize("w,wide", [(16, 16), (16, 32), (16, 64), (32, 64), (32, 96), (64, 128)])
+def test_narrow_keeps_the_low_slots(w, wide):
+    """Slots below 2^w, wide bits apart, come out w bits apart."""
+    rng = random.Random(wide + w)
+    for n in (1, 2, 3, 7, 100):
+        slots = [rng.randrange(1 << w) for _ in range(n - 1)] + [rng.randrange(1, 1 << w)]
+        x = sum(v << k * wide for k, v in enumerate(slots))
+        assert engine._narrow(x, wide, w) == sum(v << k * w for k, v in enumerate(slots))
+    assert engine._narrow(0, wide, w) == 0
 
 
 def test_fermat_quartic_h0_profile_splits():

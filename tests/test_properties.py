@@ -20,6 +20,11 @@ moves an F_p-point off the curve to (1, 0, 0); ``test_cone_routes_agree``
 pins cases of each, and curves through every point of F_p^3, which keep
 the per-degree route.  ``test_linear_change`` checks that change itself
 on random forms, some of them vanishing on all of F_p^3.
+
+``test_packed_rows_match_reduced_powers`` checks the kernel's rows, built
+in K[t][x]/(H) by products of packed ints, slot for slot against the
+reduced powers NF(x^k g^q) of ``frobenius_power_gens`` and ``reduce_terms``;
+p = 32749 and 2^31 - 1 make the products' slots wider than the kernel's.
 """
 
 from itertools import product
@@ -228,3 +233,99 @@ def test_linear_change(p, data):
         assert order == (pure[0],) + tuple(j for j in range(3) if j != pure[0])
         for f in [H] + gens:
             assert f.substitute(images) == _reordered(f, order)
+
+
+def _reference_rows(ring, gens, q):
+    """The kernel rows built the way the kernel route once built them:
+    ``frobenius_power_gens``, then ``reduce_terms`` of x^k g^q, packed term by term."""
+    w = engine._slot_width(ring.field.p)
+    free = ring.relation is None
+    h = 1 if free else ring.relation.degree()
+    rows = []
+    for g in engine.frobenius_power_gens(ring, gens, q):
+        if g.is_zero():
+            continue
+        for k in range(h):
+            terms = g.terms if k == 0 else ring.reduce_terms(
+                {(e[0] + k,) + e[1:]: c for e, c in g.terms.items()})
+            row = [0] * h
+            for e, c in terms.items():
+                row[0 if free else e[0]] += c << e[-1] * w
+            rows.append((g.degree() + k, row))
+    return rows
+
+
+ROW_CASES = tuple((p, q) for p in (2, 3, 5) for q in (1, p, p * p)) + (
+    (7, 1), (32749, 1), (65521, 1), (2**31 - 1, 1))
+
+
+@pytest.mark.parametrize("p,q", ROW_CASES)
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_packed_rows_match_reduced_powers(p, q, data):
+    """``_kernel_rows`` equals the rows of the reduced powers slot for slot, on
+    cones with deg H in 1..6 carried to H(Mx) and on F_p[x,y]; the generators
+    are left unreduced, as ``split`` passes them after the change."""
+    field = PrimeField(p)
+    degrees = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        ring = GradedRing(field, ("x", "y"))
+        coeffs = [data.draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1))
+                  for d in degrees]
+        gens = [Poly(field, 2, {(d - b, b): c for b, c in enumerate(cs)})
+                for d, cs in zip(degrees, coeffs)]
+        gens = [g for g in gens if not g.is_zero()]
+    else:
+        H = _ternary_form(data.draw, field, data.draw(st.integers(1, 6)), 0)
+        change = engine._linear_change(H)
+        if change is None:
+            return
+        order, images = change
+        ring = GradedRing(field, [("x", "y", "z")[j] for j in order], H.substitute(images))
+        gens = [_ternary_form(data.draw, field, d, k).substitute(images)
+                for k, d in enumerate(degrees)]
+    assert engine._kernel_rows(ring, gens, q) == _reference_rows(ring, gens, q)
+
+
+@pytest.mark.parametrize("p,relation,gen_texts,q", (
+    (2, "x^2", ("x", "y", "z"), 2),  # x^2 = 0: the power of x gives no rows
+    (3, "x^2", ("x+y", "x*z", "z^2"), 3),  # (xz)^3 = 0, (x+y)^3 = y^3
+    (2, "x^2", ("x*z", "y"), 1),  # x (xz) = 0: a zero row of a nonzero power stays
+    (5, "x^2*y+y^2*z+z^2*x", ("x", "y", "z"), 25),  # the Klein cubic, after the change
+))
+def test_packed_rows_drop_zero_powers(p, relation, gen_texts, q):
+    field = PrimeField(p)
+    names = ("x", "y", "z")
+    H = parse_poly(relation, names, field)
+    order, images = engine._linear_change(H)
+    ring = GradedRing(field, [names[j] for j in order], H.substitute(images))
+    gens = [parse_poly(t, names, field).substitute(images) for t in gen_texts]
+    rows = engine._kernel_rows(ring, gens, q)
+    assert rows == _reference_rows(ring, gens, q)
+    zero = sum(g.is_zero() for g in engine.frobenius_power_gens(ring, gens, q))
+    assert len(rows) == H.degree() * (len(gens) - zero)
+
+
+@pytest.mark.parametrize("relation", ("x+y+z", "x^2+y^2+z^2+x*y+y*z+z*x"))
+def test_packed_rows_take_slots_wider_than_the_kernels(relation, monkeypatch):
+    """At p = 2^31 - 1 the kernel's slots have 64 bits.  A degree-6 form with
+    every coefficient p - 1 sums products near p^2 from several terms into
+    one slot, past 2^64: the rows are built in wider slots, narrowed, and
+    equal the reduced powers."""
+    p = 2**31 - 1
+    field = PrimeField(p)
+    names = ("x", "y", "z")
+    ring = GradedRing(field, names, relation=parse_poly(relation, names, field))
+    g = Poly(field, 3, {(a, b, 6 - a - b): p - 1 for a in range(7) for b in range(7 - a)})
+    largest = []
+    reduce_slots = engine._reduce_slots
+
+    def recording(x, p, w):
+        largest.append(max(x >> k & ((1 << w) - 1) for k in range(0, x.bit_length() or 1, w)))
+        return reduce_slots(x, p, w)
+
+    monkeypatch.setattr(engine, "_reduce_slots", recording)
+    rows = engine._kernel_rows(ring, [g], 1)
+    assert max(largest) >= 1 << engine._slot_width(p)
+    monkeypatch.undo()
+    assert rows == _reference_rows(ring, [g], 1)
