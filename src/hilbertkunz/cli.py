@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 from . import corpus, engine
@@ -53,14 +54,6 @@ def _frac(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UserError(f"not a rational number: {text!r} ({exc})")
-
-
-def format_rational(x) -> str:
-    """Reduced num/den; plain integer when the denominator is 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 # -- config ------------------------------------------------------------
@@ -141,7 +134,10 @@ def _echo_config(config: dict, out) -> None:
 # -- subcommands -------------------------------------------------------
 
 
-def check_smoothness_advisory(ring: GradedRing, limit: int = 50) -> str | None:
+_SEARCH_LIMIT = 50  # largest p whose F_p-points the advisory search visits
+
+
+def check_smoothness_advisory(ring: GradedRing) -> str | None:
     """Brute-force search for a common zero of H and its partials over F_p.
 
     Advisory only: smoothness over the algebraic closure is what the
@@ -151,7 +147,7 @@ def check_smoothness_advisory(ring: GradedRing, limit: int = 50) -> str | None:
     p = ring.field.p
     if ring.relation is None:
         return "free ring: Proj R is the projective line, smooth"
-    if p > limit:
+    if p > _SEARCH_LIMIT:
         return None
     partials = []
     for i in range(ring.nvars):
@@ -162,9 +158,7 @@ def check_smoothness_advisory(ring: GradedRing, limit: int = 50) -> str | None:
                 e[i] -= 1
                 terms[tuple(e)] = (terms.get(tuple(e), 0) + c * exp[i]) % p
         partials.append(Poly(ring.field, ring.nvars, terms))
-    from itertools import product as _product
-
-    for point in _product(range(p), repeat=ring.nvars):
+    for point in product(range(p), repeat=ring.nvars):
         if not any(point):
             continue
         if ring.relation.evaluate(point):
@@ -219,13 +213,13 @@ def cmd_splitting(args) -> int:
         return EXIT_OK
     hn = report.hn
     print(f"ranks = {','.join(str(r) for r in hn.ranks)}", file=out)
-    print(f"nus = {','.join(format_rational(v) for v in hn.nus)}", file=out)
-    print(f"ehk = {format_rational(report.ehk)}", file=out)
+    print(f"nus = {','.join(str(v) for v in hn.nus)}", file=out)
+    print(f"ehk = {report.ehk}", file=out)
     for q, phi in report.phi_rows:
         resid = abs(Fraction(phi) - report.ehk * q * q)
-        print(f"phi[q={q}] = {phi}  residual = {format_rational(resid)}", file=out)
-    print(f"residual_bound_C = {format_rational(report.residual_bound)}", file=out)
-    print(f"max_residual_over_q = {format_rational(report.max_residual)}", file=out)
+        print(f"phi[q={q}] = {phi}  residual = {resid}", file=out)
+    print(f"residual_bound_C = {report.residual_bound}", file=out)
+    print(f"max_residual_over_q = {report.max_residual}", file=out)
     print(f"verified_at_q = {report.verified_q}", file=out)
     return EXIT_OK
 
@@ -271,7 +265,7 @@ def cmd_formula(args) -> int:
             raise UserError("--hn needs --d")
         hn = _parse_hn(args.hn, args.degY)
         value = ehk_from_hn(hn, _parse_degrees(args.d))
-    print(format_rational(value))
+    print(value)
     return EXIT_OK
 
 
@@ -330,17 +324,16 @@ def cmd_reconstruct(args) -> int:
     except AmbiguousReconstruction as exc:
         print(f"ambiguous: {exc}", file=sys.stderr)
         return EXIT_USER
-    print(f"ehk = {format_rational(value)}")
-    print(f"raw_estimate = {format_rational(report.raw)}")
+    print(f"ehk = {value}")
+    print(f"raw_estimate = {report.raw}")
     print(f"q_pair = {report.q_pair[0]},{report.q_pair[1]}")
     print(f"denominator_bound = {report.bound}")
-    print(f"window = {format_rational(report.window)}")
+    print(f"window = {report.window}")
     for q in sorted(report.residuals):
-        print(f"residual[q={q}] = {format_rational(report.residuals[q])}")
+        print(f"residual[q={q}] = {report.residuals[q]}")
     if args.plane_curve_h:
         nu2 = nu2_from_ehk(args.plane_curve_h, value)
-        text = format_rational(nu2) if isinstance(nu2, Fraction) else str(nu2)
-        print(f"nu2 = {text}")
+        print(f"nu2 = {nu2}")
     return EXIT_OK
 
 

@@ -285,6 +285,13 @@ def _kernel_twists(ring: GradedRing, rows) -> list:
     0 mod p (there are some only where two leading terms met, and there
     the top slot is a nonzero multiple of p), so the top slot of a nonzero
     column is nonzero mod p and its degree is (bit length - 1) // w.
+
+    A transformation must lower the lead of the row it changes (M part
+    above identity part, then shifted degree, then position), or
+    ``InternalError`` is raised: positions right of the pivot stay below
+    the row's degree and the pivot's top term cancels, so the maximum
+    drops or is reached further left.  No other row changes, and the order
+    is well-founded, so the loop ends or raises.
     """
     p = ring.field.p
     h = 1 if ring.relation is None else ring.relation.degree()
@@ -319,7 +326,7 @@ def _kernel_twists(ring: GradedRing, rows) -> list:
                 if fill:
                     rows[i] = reduced(rows[i])
                 pivots[pos] = (i, sd)
-                i, j, fill = j, i, 0
+                i, j, sd, fill = j, i, sd_j, 0
             a, b = rows[i], rows[j]
             top, top_j = (a[pos].bit_length() - 1) // w, (b[pos].bit_length() - 1) // w
             c = (a[pos] >> top * w) * pow(b[pos] >> top_j * w, -1, p) % p
@@ -331,7 +338,11 @@ def _kernel_twists(ring: GradedRing, rows) -> list:
             if fill == room:
                 rows[i] = a = reduced(a)
                 fill = 0
+            was, before = pos, sd
             pos, sd = lead(a)
+            if not (pos >= h > was or (pos < h) == (was < h)
+                    and (sd < before or sd == before and pos < was)):
+                raise InternalError(f"lead (position, degree) {was}, {before} -> {pos}, {sd}")
         if fill:
             rows[i] = reduced(rows[i])
         pivots[pos] = (i, sd)
@@ -372,50 +383,47 @@ def _linear_change(H: Poly):
 
 
 class Split(NamedTuple):
-    """R/(g^q): the ring its route runs in, the nonzero q-th powers there (per-degree
-    route only), and the degrees of A-bases of target, source and kernel (kernel
-    route only; None on the other)."""
+    """R/(g^q) on the kernel route: the degrees of A-bases of target, source and kernel."""
 
-    ring: GradedRing
-    powers: list | None
-    targets: range | None
-    sources: list | None
-    twists: list | None
+    targets: range
+    sources: list
+    twists: list
 
 
-def split(ring: GradedRing, gens, q: int) -> Split:
-    """Check q, change coordinates, take the powers of gens and pick the route.
+def split(ring: GradedRing, gens, q: int) -> Split | None:
+    """Check q, change coordinates and read the twists of the q-th powers of gens.
 
-    K[x,y], and a cone carried to H(Mx) by ``_linear_change``, take the
-    kernel route: R is free over A on x^l (l < h) and the source on
-    x^k g^q (k < h), and the rows NF(x^k g^q) are built as packed vectors
-    over K[t] (``_kernel_rows``), with no Poly power taken.  A curve
-    through every F_p-point takes the per-degree route, on the reduced
-    powers.  M is invertible over F_p, so no colength or h^0 changes, and
-    g^q(Mx) = g(Mx)^[q]: the change acts on the degree-d generators, and
-    each power is taken in the ring the route runs in.
+    K[x,y], and a cone carried to H(Mx) by ``_linear_change``, are free
+    over A on x^l (l < h), and the source on x^k g^q (k < h); the rows
+    NF(x^k g^q) are built as packed vectors over K[t] (``_kernel_rows``),
+    with no Poly power taken.  M is invertible over F_p, so no colength or
+    h^0 changes, and g^q(Mx) = g(Mx)^[q]: the change acts on the degree-d
+    generators.  None when ``_linear_change`` finds no change (a curve
+    through every F_p-point).
     """
     validate_prime_power(ring.field.p, q)
     H = ring.relation
-    change = None if H is None else _linear_change(H)
-    if H is not None and change is None:
-        return Split(ring, [g for g in frobenius_power_gens(ring, gens, q) if not g.is_zero()],
-                     None, None, None)
-    if change is not None:
+    if H is not None:
+        change = _linear_change(H)
+        if change is None:
+            return None
         order, images = change
         ring = GradedRing(ring.field, [ring.vars[j] for j in order], H.substitute(images))
         gens = [g.substitute(images) for g in gens]
     rows = _kernel_rows(ring, gens, q)
-    h = 1 if H is None else H.degree()
-    return Split(ring, None, range(h), [s for s, _ in rows], _kernel_twists(ring, rows))
+    return Split(range(1 if H is None else H.degree()), [s for s, _ in rows],
+                 _kernel_twists(ring, rows))
 
 
 def pieces(ring: GradedRing, gens, q: int, top: int):
-    """DegreePiece of R/(g^q for g in gens) for m = 0..top, on the route ``split`` picks."""
+    """DegreePiece of R/(g^q for g in gens) for m = 0..top, from the twists of
+    ``split``, or where it gives None, from each degree's map on the reduced
+    q-th powers, eliminated on its own (``_degree_piece``)."""
     s = split(ring, gens, q)
-    if s.twists is not None:
+    if s is not None:
         return _split_pieces(s.targets, s.sources, s.twists, top)
-    return (_degree_piece(s.ring, s.powers, [g.degree() for g in s.powers], m)
+    powers = [g for g in frobenius_power_gens(ring, gens, q) if not g.is_zero()]
+    return (_degree_piece(ring, powers, [g.degree() for g in powers], m)
             for m in range(top + 1))
 
 

@@ -12,7 +12,7 @@ from math import comb
 
 from .errors import NotPrimaryError, UserError
 from .field import PrimeField
-from .poly import Poly, grevlex_key, monomial_div, monomial_divides, monomial_mul
+from .poly import Poly, grevlex_key, monomial_div, monomial_divides, monomial_mul, parse_poly
 
 
 def _monomials(n: int, m: int) -> list:
@@ -144,8 +144,6 @@ class GradedRing:
         return f if self.relation is None else self.normal_form(f)
 
     def parse(self, text: str) -> Poly:
-        from .poly import parse_poly
-
         return self.reduce(parse_poly(text, self.vars, self.field))
 
     def poly_str(self, f: Poly) -> str:

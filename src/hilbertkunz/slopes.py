@@ -15,10 +15,6 @@ from fractions import Fraction
 from .errors import UserError
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class HNData:
     """Strong slope summary of a syzygy bundle: ranks r_k and thresholds nu_k.
@@ -34,7 +30,7 @@ class HNData:
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        object.__setattr__(self, "nus", tuple(_frac(v) for v in self.nus))
+        object.__setattr__(self, "nus", tuple(Fraction(v) for v in self.nus))
 
     @property
     def t(self) -> int:
@@ -108,7 +104,7 @@ def ehk_t2(r2: int, nu2, degrees, degY: int) -> Fraction:
     """Multiplicity for a two-step filtration, given the top step (r_2, nu_2)."""
     degrees = tuple(degrees)
     n = len(degrees)
-    nu2 = _frac(nu2)
+    nu2 = Fraction(nu2)
     r1 = n - 1 - r2
     if r1 < 1:
         raise UserError(f"r_2 = {r2} leaves no rank for the first step")
@@ -132,7 +128,7 @@ def ehk_n3(nu2, degrees, degY: int) -> Fraction:
     degrees = tuple(degrees)
     if len(degrees) != 3:
         raise UserError("ehk_n3 requires exactly three generator degrees")
-    nu2 = _frac(nu2)
+    nu2 = Fraction(nu2)
     total = sum(degrees)
     pair_sum = (
         degrees[0] * degrees[1] + degrees[0] * degrees[2] + degrees[1] * degrees[2]
@@ -144,7 +140,7 @@ def ehk_n3(nu2, degrees, degY: int) -> Fraction:
 
 def ehk_plane_curve(h: int, nu2) -> Fraction:
     """Cone over a smooth plane curve of degree h; 3/2 <= nu_2 <= 2."""
-    nu2 = _frac(nu2)
+    nu2 = Fraction(nu2)
     if not (Fraction(3, 2) <= nu2 <= 2):
         raise UserError(f"nu_2 = {nu2} outside [3/2, 2]")
     if h < 1:

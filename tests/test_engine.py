@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -256,8 +260,8 @@ def test_cones_with_a_point_off_the_curve_take_the_streamed_route(monkeypatch):
 
 def test_curves_through_every_fp_point_take_the_per_degree_route(monkeypatch):
     """x^2*y + x*y^2 vanishes on all of F_2^3, so no change of coordinates
-    over F_2 makes it monic in x; with the kernel route made to fail, phi is
-    as before."""
+    over F_2 makes it monic in x: ``split`` gives None, and with the kernel
+    route made to fail, phi is as before."""
 
     def refuse(*args):
         raise AssertionError("kernel route taken")
@@ -267,6 +271,8 @@ def test_curves_through_every_fp_point_take_the_per_degree_route(monkeypatch):
     R = GradedRing(F2, names, relation=parse_poly("x^2*y+x*y^2", names, F2))
     ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
     assert [engine.hk_value(ideal, q).phi for q in (1, 2, 4)] == [1, 8, 40]
+    for q in (1, 2, 4):
+        assert engine.split(R, ideal.gens, q) is None
 
 
 def test_q_must_be_prime_power():
@@ -421,3 +427,31 @@ def test_kernel_strips_top_slots_that_are_zero_mod_p_but_not_zero(monkeypatch):
     assert any(t % 2 == 0 and t and n >= 2 for t, n in stripped)
     powers = engine.frobenius_power_gens(R, gens, 16)
     assert got == [engine._degree_piece(R, powers, [16, 32, 32], m) for m in range(top + 1)]
+
+
+def test_kernel_loop_raises_instead_of_hanging():
+    """With ``_strip`` made the identity, a top slot that is 0 mod 2 but not 0
+    stays the lead, and a transformation cannot lower it: the kernel loop
+    raises InternalError rather than running on (the case of the test above)."""
+    script = textwrap.dedent("""
+        from hilbertkunz import engine
+        from hilbertkunz.errors import InternalError
+        from hilbertkunz.field import PrimeField
+        from hilbertkunz.poly import parse_poly
+        from hilbertkunz.ring import GradedRing
+
+        F2 = PrimeField(2)
+        names = ("x", "y", "z")
+        R = GradedRing(F2, names, relation=parse_poly("x^3+y^2*z+z^3", names, F2))
+        gens = [R.parse(t) for t in ("x+y", "y*z+x^2", "z^2+x*y")]
+        engine._strip = lambda x, p, w: x
+        try:
+            list(engine.pieces(R, gens, 16, 50))
+        except InternalError:
+            print("InternalError")
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.strip() == "InternalError", proc.stderr
