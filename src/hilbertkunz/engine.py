@@ -14,19 +14,19 @@ kernel basis of a polynomial matrix over K[t] (``_kernel_twists``), whose
 rows, the normal forms of x^k g^q, are computed in K[t][x]/(H) by products
 of packed ints (``_kernel_rows``: each polynomial is one Python int, a
 coefficient per fixed-width slot), and every degree follows in closed form,
-h^0(m) = sum_j (m - e_j + 1)_+ (``_split_pieces``).  The splitting layer
-reads the same twists.  A curve through every F_p-point has no such
-change, and each degree's map is eliminated on its own
-(``_degree_piece``), which is also the tests' reference.  Every piece is
+h^0(m) = sum_j (m - e_j + 1)_+, linear, like the other dimensions, between
+the twist and generator degrees: the degrees come in runs (``runs``).  The
+splitting layer reads the same twists.  A curve through every F_p-point
+has no such change, and each degree's map is eliminated on its own
+(``_degree_piece``), which is also the tests' reference.  Every degree is
 checked: a per-degree map against the rank-nullity count of the columns
-it fed, a closed-form piece for colength >= 0 and h^0 <= dim of the
-source.
+it fed, a run at both ends for colength >= 0 and h^0 <= dim of the source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, product
+from itertools import chain, product, repeat
 from typing import NamedTuple
 
 from .errors import CapExceededError, InternalError, UserError
@@ -415,45 +415,54 @@ def split(ring: GradedRing, gens, q: int) -> Split | None:
                  _kernel_twists(ring, rows))
 
 
-def pieces(ring: GradedRing, gens, q: int, top: int):
-    """DegreePiece of R/(g^q for g in gens) for m = 0..top, from the twists of
-    ``split``, or where it gives None, from each degree's map on the reduced
-    q-th powers, eliminated on its own (``_degree_piece``)."""
-    s = split(ring, gens, q)
-    if s is not None:
-        return _split_pieces(s.targets, s.sources, s.twists, top)
-    powers = [g for g in frobenius_power_gens(ring, gens, q) if not g.is_zero()]
-    return (_degree_piece(ring, powers, [g.degree() for g in powers], m)
-            for m in range(top + 1))
+def runs(ring: GradedRing, gens, q: int, top: int):
+    """Degrees 0..top of R/(g^q for g in gens) as runs (m, n, rows, cols, h0,
+    drows, dcols, dh0): in degree m + k, k < n, target and source dimensions
+    and h^0 are rows + k drows, cols + k dcols and h0 + k dh0.
 
-
-def _split_pieces(targets, sources, twists, top: int):
-    """DegreePiece for m = 0..top from the degrees of A-bases of target, source and kernel.
-
-    Each dimension is sum_a (m - a + 1)_+ over its degrees a, kept as a
-    running sum of a running count.  colength < 0 or h0 > cols means the
-    twists are wrong.
+    On the twists of ``split`` each is sum_a (m - a + 1)_+ over its degrees
+    a: one run per gap between breakpoints a <= top.  colength and rank are
+    linear on a run, so both are checked >= 0 at its ends; wrong twists cut
+    the run before its first bad degree, which ``InternalError`` names.
+    Where ``split`` gives None, each degree is a run, from ``_degree_piece``.
     """
+    s = split(ring, gens, q)
+    if s is None:
+        powers = [g for g in frobenius_power_gens(ring, gens, q) if not g.is_zero()]
+        for m in range(top + 1):
+            piece = _degree_piece(ring, powers, [g.degree() for g in powers], m)
+            yield m, 1, piece.dim_target, piece.dim_source, piece.syzygy_h0, 0, 0, 0
+        return
     starts = {}
-    for which, degrees in enumerate((targets, sources, twists)):
+    for which, degrees in enumerate(s):
         for a in degrees:
-            starts.setdefault(a, [0, 0, 0])[which] += 1
-    rows = cols = h0 = drows = dcols = dh0 = 0
-    for m in range(top + 1):
-        new = starts.get(m)
-        if new:
-            drows += new[0]
-            dcols += new[1]
-            dh0 += new[2]
-        rows += drows
-        cols += dcols
-        h0 += dh0
-        rank = cols - h0
-        colength = rows - rank
-        if colength < 0 or rank < 0:
-            raise InternalError(f"twists {sorted(twists)} give colength {colength} "
-                                f"and h0 {h0} of {cols} columns in degree {m}")
-        yield DegreePiece(m, colength, h0, rank, rows, cols)
+            if a <= top:
+                starts.setdefault(a, [0, 0, 0])[which] += 1
+    edges = sorted({0, top + 1, *starts})
+    rows = cols = h0 = drows = dcols = dh0 = 0  # in the degree before the run, and the steps
+    for m, end in zip(edges, edges[1:]):
+        n = end - m
+        new = starts.get(m, (0, 0, 0))
+        drows, dcols, dh0 = drows + new[0], dcols + new[1], dh0 + new[2]
+        rows, cols, h0 = rows + drows, cols + dcols, h0 + dh0
+        c, dc, r, dr = rows - cols + h0, drows - dcols + dh0, cols - h0, dcols - dh0
+        k = n
+        if min(c, c + (n - 1) * dc, r, r + (n - 1) * dr) < 0:
+            k = next(k for k in range(n) if c + k * dc < 0 or r + k * dr < 0)
+        if k:
+            yield m, k, rows, cols, h0, drows, dcols, dh0
+        if k < n:
+            raise InternalError(f"twists {sorted(s.twists)} give colength {c + k * dc} and h0 "
+                                f"{h0 + k * dh0} of {cols + k * dcols} columns in degree {m + k}")
+        rows, cols, h0 = rows + (n - 1) * drows, cols + (n - 1) * dcols, h0 + (n - 1) * dh0
+
+
+def pieces(ring: GradedRing, gens, q: int, top: int):
+    """DegreePiece of R/(g^q for g in gens) for m = 0..top, expanded from ``runs``."""
+    for m, n, rows, cols, h0, drows, dcols, dh0 in runs(ring, gens, q, top):
+        for k in range(n):
+            r, c, h = rows + k * drows, cols + k * dcols, h0 + k * dh0
+            yield DegreePiece(m + k, r - c + h, h, c - h, r, c)
 
 
 @dataclass
@@ -467,28 +476,33 @@ class HKRow:
 
 
 def hk_value(ideal: IdealSpec, q: int) -> HKRow:
-    """phi(I, q) = length(R/I^[q]) by summing per-degree colengths.
+    """phi(I, q) = length(R/I^[q]) by summing the colengths of ``runs``.
 
     One vanishing graded piece forces all higher pieces to vanish, so
     summation stops at the first run of z zero degrees, z the sum of the
     generator degrees (at least 1); ``per_degree`` holds every colength
-    summed.  A primary ideal never hits the cap q*m0 + nvars*(q-1) + z,
+    summed.  On a run the colength is >= 0 and linear, so it sums as an
+    arithmetic series, and its zeros are the whole run, or its first or
+    last degree.  A primary ideal never hits the cap q*m0 + nvars*(q-1) + z,
     m0 the primarity degree: write each exponent as a_i = q b_i + r_i
     with r_i < q; in degree q*m0 + nvars*(q-1) and above, sum b_i >= m0,
     so x^b lies in I and the monomial in I^[q].
     """
-    consecutive_zeros = max(1, sum(ideal.degrees))
-    hard_cap = q * ideal.primarity_degree + ideal.ring.nvars * (q - 1) + consecutive_zeros
+    z = max(1, sum(ideal.degrees))
+    hard_cap = q * ideal.primarity_degree + ideal.ring.nvars * (q - 1) + z
     per_degree = {}
-    phi = 0
-    zeros_run = 0
-    for piece in pieces(ideal.ring, ideal.gens, q, hard_cap):
-        c = piece.colength
-        per_degree[piece.m] = c
-        phi += c
-        zeros_run = zeros_run + 1 if c == 0 else 0
-        if zeros_run >= consecutive_zeros:
-            return HKRow(q=q, phi=phi, cutoff=piece.m - zeros_run + 1, per_degree=per_degree)
+    phi = zeros = 0  # zeros: the run of zero colengths ending in the last degree summed
+    for m, n, rows, cols, h0, drows, dcols, dh0 in runs(ideal.ring, ideal.gens, q, hard_cap):
+        c, dc = rows - cols + h0, drows - dcols + dh0
+        lead = n if c == dc == 0 else int(c == 0)  # zeros at the run's start
+        if lead and zeros + lead >= z:
+            per_degree.update(dict.fromkeys(range(m, m + z - zeros), 0))
+            return HKRow(q=q, phi=phi, cutoff=m - zeros, per_degree=per_degree)
+        zeros = zeros + n if lead == n else int(c + (n - 1) * dc == 0)
+        per_degree.update(zip(range(m, m + n), range(c, c + n * dc, dc) if dc else repeat(c, n)))
+        phi += n * c + n * (n - 1) // 2 * dc
+        if zeros >= z:
+            return HKRow(q=q, phi=phi, cutoff=m + n - zeros, per_degree=per_degree)
     raise CapExceededError(
         f"no vanishing tail up to degree {hard_cap} for q={q}; non-primary input"
     )

@@ -19,6 +19,7 @@ from itertools import groupby
 
 from . import engine
 from .errors import InternalError, UserError
+from .field import is_prime
 from .ring import IdealSpec
 from .slopes import HNData, _require_valid, ehk_from_hn
 
@@ -66,6 +67,14 @@ def splitting_type(ideal: IdealSpec, q: int) -> SplittingType:
     return st
 
 
+def _root(q: int, e: int) -> int:
+    """floor(q^(1/e)) for q >= 1, by integer Newton steps from above."""
+    x = 1 << -(-q.bit_length() // e)
+    while (y := ((e - 1) * x + q // x ** (e - 1)) // e) < x:
+        x = y
+    return x
+
+
 def hn_from_splittings(s1: SplittingType, s2: SplittingType, *, n=None):
     """Slope data from two splitting types, if the second is the scaled first.
 
@@ -75,7 +84,12 @@ def hn_from_splittings(s1: SplittingType, s2: SplittingType, *, n=None):
     """
     if s2.q <= s1.q:
         raise UserError("second splitting type must have the larger q")
-    if s2.q % s1.q:
+    # s2.q = p^e for the largest such e: a power of its least prime factor iff p is prime
+    p = next(r for e in range(s2.q.bit_length(), 0, -1) if (r := _root(s2.q, e)) ** e == s2.q)
+    q = s1.q
+    while q > 1 and q % p == 0:
+        q //= p
+    if q != 1 or not is_prime(p):
         raise UserError("q values must differ by a power of the characteristic")
     ratio = s2.q // s1.q
     scaled = tuple(sorted(ratio * e for e in s1.twists))

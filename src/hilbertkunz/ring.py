@@ -159,13 +159,15 @@ def first_vanishing_degree(ring: GradedRing, gens, bound: int) -> int:
     """Smallest m with (R/(gens))_m = 0, or NotPrimaryError if none <= bound.
 
     In a standard-graded ring one vanishing graded piece forces all
-    higher ones to vanish, so the first hit is returned immediately.
+    higher ones to vanish, so the first hit is returned; it is at an end
+    of one of ``engine.runs``, on which the colength is linear and >= 0.
     """
-    from .engine import pieces
+    from .engine import runs
 
-    for piece in pieces(ring, gens, 1, bound):
-        if piece.colength == 0:
-            return piece.m
+    for m, n, rows, cols, h0, drows, dcols, dh0 in runs(ring, gens, 1, bound):
+        c = rows - cols + h0
+        if c == 0 or c + (n - 1) * (drows - dcols + dh0) == 0:
+            return m if c == 0 else m + n - 1
     raise NotPrimaryError(
         f"no vanishing graded piece up to degree {bound}; ideal is not primary"
     )

@@ -187,12 +187,62 @@ def test_hard_cap_raises(monkeypatch):
     def never_vanishing(ring, gens, q, top):
         for m in range(top + 1):
             seen.append(m)
-            yield engine.DegreePiece(m, 1, 0, 0, 1, 0)
+            yield m, 1, 1, 0, 0, 0, 0, 0
 
-    monkeypatch.setattr(engine, "pieces", never_vanishing)
+    monkeypatch.setattr(engine, "runs", never_vanishing)
     with pytest.raises(CapExceededError):
         engine.hk_value(ideal, 16)
     assert seen[-1] == 16 * ideal.primarity_degree + 2 * 15 + 2
+
+
+def _hk_reference(runs, z):
+    """(phi, cutoff, per_degree) by the degree-by-degree loop over the expanded runs."""
+    per_degree = {}
+    phi = zeros_run = 0
+    for m, n, rows, cols, h0, drows, dcols, dh0 in runs:
+        for k in range(n):
+            c = rows - cols + h0 + k * (drows - dcols + dh0)
+            per_degree[m + k] = c
+            phi += c
+            zeros_run = zeros_run + 1 if c == 0 else 0
+            if zeros_run >= z:
+                return phi, m + k - zeros_run + 1, per_degree
+    raise AssertionError("no vanishing run")
+
+
+def _colength_runs(*spans):
+    """Runs (m, n, ...) with colength c + k dc in degree m + k, from spans (n, c, dc)
+    laid end to end from degree 0 (rank 2 + k, h0 1 + k)."""
+    m = 0
+    for n, c, dc in spans:
+        yield m, n, c + 2, 3, 1, dc + 1, 2, 1
+        m += n
+
+
+# generators whose degrees sum to z, the zero run hk_value stops at
+Z_GENS = {1: ("1", "x"), 2: ("x", "y"), 3: ("x", "y^2"), 4: ("x", "y^3"), 5: ("x^2", "y^3")}
+
+
+@pytest.mark.parametrize("z,spans", [
+    # a zero run shorter than z continues into the next run, after a fall to 0
+    (4, [(4, 3, -1), (2, 0, 0), (5, 0, 0), (3, 9, 1)]),
+    # the zeros are broken by a run rising from 0, then a length-1 zero and a fall
+    (5, [(2, 0, 0), (3, 0, 2), (4, 4, -1), (1, 0, 7), (2, 5, -2), (10, 0, 0)]),
+    # z = 1: a falling run that ends at 0 stops on its last degree
+    (1, [(3, 2, -1), (5, 7, 1)]),
+    # z = 1: a run rising from 0 stops on its first degree
+    (1, [(2, 1, 0), (4, 0, 3), (2, 0, 0)]),
+    # zeros before a rising run complete the run of z on its first degree
+    (3, [(2, 6, -6), (1, 0, 0), (3, 0, 2), (2, 4, 0)]),
+    # runs of length 1 only
+    (2, [(1, 5, -9), (1, 0, 4), (1, 3, 0), (1, 0, 0), (1, 0, 6), (1, 8, 0)]),
+])
+def test_hk_value_sums_runs_as_the_degree_loop(monkeypatch, z, spans):
+    """phi, cutoff and per_degree from the runs equal the degree-by-degree loop."""
+    ideal = free_ideal(2, Z_GENS[z])
+    monkeypatch.setattr(engine, "runs", lambda ring, gens, q, top: _colength_runs(*spans))
+    row = engine.hk_value(ideal, 1)
+    assert (row.phi, row.cutoff, row.per_degree) == _hk_reference(_colength_runs(*spans), z)
 
 
 def test_hard_cap_holds_on_high_degree_curve():
@@ -301,17 +351,61 @@ def test_wrong_twists_raise(monkeypatch):
             engine.hk_value(ideal, 5)
 
 
+def test_wrong_twists_name_the_first_bad_degree(monkeypatch):
+    """A run that fails its check is walked: the error names the first degree
+    in which running counts over the split's degrees give colength < 0 or
+    rank < 0, with those counts."""
+    ideal = fermat_ideal()
+    twists = engine._kernel_twists
+    for wrong in (lambda ring, gens: [0] * len(twists(ring, gens)),
+                  lambda ring, gens: twists(ring, gens)[1:]):
+        monkeypatch.setattr(engine, "_kernel_twists", wrong)
+        s = engine.split(ideal.ring, ideal.gens, 5)
+        dims = [[sum(max(0, m - a + 1) for a in degrees) for degrees in s] for m in range(100)]
+        m = next(m for m, (rows, cols, h0) in enumerate(dims) if rows - cols + h0 < 0 or cols < h0)
+        rows, cols, h0 = dims[m]
+        expected = (f"twists {sorted(s.twists)} give colength {rows - cols + h0} "
+                    f"and h0 {h0} of {cols} columns in degree {m}")
+        with pytest.raises(InternalError) as raised:
+            engine.hk_value(ideal, 5)
+        assert str(raised.value) == expected
+
+
 def test_fermat_cubic_at_q625():
     """phi = (9q^2 - 5)/4 on the Fermat cubic over F_5 (Buchweitz-Chen)."""
     row = engine.hk_value(fermat_ideal(), 625)
     assert (row.phi, row.cutoff) == (878905, 938)
 
 
-def test_fermat_cubic_at_q15625():
-    """q = 5^6: the rows are wider than the kernel's slots (W = 32, w = 16)."""
+def test_fermat_cubic_at_q15625(monkeypatch):
+    """q = 5^6: the rows are wider than the kernel's slots (W = 32, w = 16).
+    hk_value sums runs, not degrees: it builds no DegreePiece, and takes at
+    most one run per breakpoint of the split, plus the one from degree 0."""
     q = 15625
-    row = engine.hk_value(fermat_ideal(), q)
-    assert (row.phi, row.cutoff) == ((9 * q * q - 5) // 4, 23438)
+    ideal = fermat_ideal()
+    splits, counts = [], []
+    split, runs = engine.split, engine.runs
+
+    def recording_split(*args):
+        splits.append(split(*args))
+        return splits[-1]
+
+    def counting_runs(*args):
+        counts.append(0)
+        for run in runs(*args):
+            counts[-1] += 1
+            yield run
+
+    def refuse(*args):
+        raise AssertionError("DegreePiece built")
+
+    monkeypatch.setattr(engine, "split", recording_split)
+    monkeypatch.setattr(engine, "runs", counting_runs)
+    monkeypatch.setattr(engine, "DegreePiece", refuse)
+    row = engine.hk_value(ideal, q)
+    assert (row.phi, row.cutoff) == ((9 * q * q - 5) // 4, 23438) == (549316405, 23438)
+    (s,), (count,) = splits, counts
+    assert count <= len(s.targets) + len(s.sources) + len(s.twists) + 1
 
 
 def test_klein_cubic_at_q625():

@@ -72,6 +72,21 @@ def test_hn_from_splittings_not_stabilized():
         hn_from_splittings(SplittingType(2, (4,)), SplittingType(3, (6,)))
 
 
+@pytest.mark.parametrize("q1,q2", [(2, 6), (1, 6)])
+def test_hn_from_splittings_refuses_a_ratio_off_the_characteristic(q1, q2):
+    """Both q values must be powers of the least prime factor p of the larger:
+    6 is no power of 2, though 2 | 6 and 1 | 6."""
+    with pytest.raises(UserError):
+        hn_from_splittings(SplittingType(q1, (4 * q1, 5 * q1)), SplittingType(q2, (4 * q2, 5 * q2)))
+
+
+@pytest.mark.parametrize("q1,q2", [(2, 8), (1, 4), (25, 125)])
+def test_hn_from_splittings_accepts_powers_of_one_prime(q1, q2):
+    hn = hn_from_splittings(SplittingType(q1, (4 * q1, 5 * q1)), SplittingType(q2, (4 * q2, 5 * q2)))
+    assert isinstance(hn, HNData)
+    assert hn.nus == (Fraction(4), Fraction(5))
+
+
 def test_splitting_requires_p1():
     from hilbertkunz.poly import parse_poly
 

@@ -25,12 +25,17 @@ on random forms, some of them vanishing on all of F_p^3.
 in K[t][x]/(H) by products of packed ints, slot for slot against the
 reduced powers NF(x^k g^q) of ``frobenius_power_gens`` and ``reduce_terms``;
 p = 32749 and 2^31 - 1 make the products' slots wider than the kernel's.
+
+``test_phi_from_the_split_degrees`` checks the closed form
+phi(q) = (sum_(l<h) l^2 - sum s^2 + sum e_j^2) / 2 over the degrees that
+``split`` gives, against the runs that ``hk_value`` sums, for p <= 7 and
+q <= p^2 on F_p[x,y] and on cones of degree 1..6.
 """
 
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hilbertkunz import engine
 from hilbertkunz.errors import NotPrimaryError, UserError
@@ -122,18 +127,20 @@ def _ternary_form(draw, field, d, k):
 
 
 @st.composite
-def cone_ideals(draw, p):
-    """Two or three forms of degree 1..2 on a random cone; (x,y,z) if not primary."""
+def cone_ideals(draw, p, lowest=2):
+    """Two or three forms of degree 1..2 on a random cone of degree lowest..6;
+    if not primary, the variables that are not multiples of H (x, y, z unless
+    H is one of them)."""
     field = PrimeField(p)
     names = ("x", "y", "z")
-    relation = _ternary_form(draw, field, draw(st.integers(2, 6)), 2)
+    relation = _ternary_form(draw, field, draw(st.integers(lowest, 6)), 2)
     ring = GradedRing(field, names, relation=relation)
     count = draw(st.integers(2, 3))
     gens = [_ternary_form(draw, field, draw(st.integers(1, 2)), k) for k in range(count)]
     try:
         return IdealSpec(ring, tuple(gens))
     except UserError:  # not primary, or a generator that is a multiple of H
-        return IdealSpec(ring, tuple(ring.parse(v) for v in names))
+        return IdealSpec(ring, tuple(g for g in map(ring.parse, names) if not ring.reduce(g).is_zero()))
 
 
 @pytest.mark.parametrize("p,q", HYPERSURFACE_CASES)
@@ -149,6 +156,20 @@ def test_cone_colengths_match_ambient_oracle(p, q, data):
     }
     last = max(row.per_degree)
     assert list(engine.pieces(ideal.ring, ideal.gens, q, last)) == _per_degree_pieces(ideal, q, last)
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in (2, 3, 5, 7) for q in (1, p, p * p)])
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_phi_from_the_split_degrees(p, q, data):
+    """phi(q) = (sum_(l<h) l^2 - sum_s s^2 + sum_j e_j^2) / 2 over the target,
+    source and twist degrees of ``split``, wherever it has (n-1) h twists:
+    summed over all m, the terms in m of the three dimension formulas cancel."""
+    ideal = data.draw(st.one_of(binary_ideals(p), cone_ideals(p, lowest=1)))
+    s = engine.split(ideal.ring, ideal.gens, q)
+    assume(s is not None and len(s.twists) == (ideal.n - 1) * len(s.targets))
+    squares = [sum(a * a for a in degrees) for degrees in s]
+    assert squares[0] - squares[1] + squares[2] == 2 * engine.hk_value(ideal, q).phi
 
 
 CONES = (
