@@ -1,5 +1,7 @@
 """Exact Hilbert-Kunz functions and multiplicities in graded dimension two."""
 
+import gc
+
 from .engine import HKRow, hk_value
 from .errors import (
     CapExceededError,
@@ -77,3 +79,5 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+gc.freeze()  # what the import made lives as long as the process: no later collection scans it

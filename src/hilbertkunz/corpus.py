@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import engine
@@ -32,14 +31,11 @@ from .slopes import (
 from .staircase import MonomialIdeal2, staircase_colength
 
 
-@dataclass
 class CriterionResult:
-    number: int
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
-    values: dict | None = None  # extras handed to downstream criteria
+    def __init__(self, number: int, name: str, ok: bool, detail: str, seconds: float,
+                 values: dict | None = None):  # values: extras handed to downstream criteria
+        self.number, self.name, self.ok, self.detail = number, name, ok, detail
+        self.seconds, self.values = seconds, values
 
     def line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"

@@ -25,9 +25,8 @@ it fed, a run at both ends for colength >= 0 and h^0 <= dim of the source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from itertools import chain, product, repeat
-from typing import NamedTuple
 
 from .errors import CapExceededError, InternalError, UserError
 from .linalg import RankBuilder
@@ -70,15 +69,8 @@ def _generic_columns(ring: GradedRing, g, d: int, m: int):
         yield {index[e]: c for e, c in ring.reduce(Poly.monomial(g.field, mu) * g).terms.items()}
 
 
-class DegreePiece(NamedTuple):
-    """Per-degree data of R/(gens): the map (+)_i R_{m - d_i} -> R_m."""
-
-    m: int
-    colength: int
-    syzygy_h0: int
-    rank: int
-    dim_target: int
-    dim_source: int
+DegreePiece = namedtuple("DegreePiece", "m colength syzygy_h0 rank dim_target dim_source")
+DegreePiece.__doc__ = "Per-degree data of R/(gens): the map (+)_i R_{m - d_i} -> R_m."
 
 
 def _degree_piece(ring: GradedRing, gens, degrees, m: int) -> DegreePiece:
@@ -382,12 +374,8 @@ def _linear_change(H: Poly):
     return None
 
 
-class Split(NamedTuple):
-    """R/(g^q) on the kernel route: the degrees of A-bases of target, source and kernel."""
-
-    targets: range
-    sources: list
-    twists: list
+Split = namedtuple("Split", "targets sources twists")
+Split.__doc__ = "R/(g^q) on the kernel route: the degrees of A-bases of target, source and kernel."
 
 
 def split(ring: GradedRing, gens, q: int) -> Split | None:
@@ -465,14 +453,12 @@ def pieces(ring: GradedRing, gens, q: int, top: int):
             yield DegreePiece(m + k, r - c + h, h, c - h, r, c)
 
 
-@dataclass
 class HKRow:
     """One row of the Hilbert-Kunz function: q -> colength of I^[q]."""
 
-    q: int
-    phi: int
-    cutoff: int  # first degree of the terminal run of zero colengths
-    per_degree: dict = dc_field(default_factory=dict)
+    def __init__(self, q: int, phi: int, cutoff: int, per_degree: dict | None = None):
+        self.q, self.phi, self.cutoff = q, phi, cutoff  # cutoff: first degree of the zero tail
+        self.per_degree = {} if per_degree is None else per_degree
 
 
 def hk_value(ideal: IdealSpec, q: int) -> HKRow:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import UserError
+from .errors import Frozen, UserError
 
 # Witnesses making Miller-Rabin deterministic for n < 3.3 * 10^24,
 # far beyond the 2^31 cap on p.
@@ -37,21 +35,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Frozen):
     """The field Z/p, 2 <= p < 2^31.
 
     Elements are plain Python ints, canonical in [0, p); callers reduce
     with ``% p`` and invert with :meth:`inv`.
     """
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not (2 <= self.p < 2**31):
-            raise UserError(f"characteristic must satisfy 2 <= p < 2^31, got {self.p}")
-        if not is_prime(self.p):
-            raise UserError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not (2 <= p < 2**31):
+            raise UserError(f"characteristic must satisfy 2 <= p < 2^31, got {p}")
+        if not is_prime(p):
+            raise UserError(f"{p} is not prime")
+        super().__init__(p)
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:

@@ -13,12 +13,11 @@ q*nu_k taken r_k times, with the computed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import groupby
 
 from . import engine
-from .errors import InternalError, UserError
+from .errors import Frozen, InternalError, UserError
 from .field import is_prime
 from .ring import IdealSpec
 from .slopes import HNData, _require_valid, ehk_from_hn
@@ -29,23 +28,22 @@ def _require_p1(ideal: IdealSpec) -> None:
         raise UserError("splitting types require the free ring in two variables")
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(Frozen):
     """Twist multiset of the syzygy bundle of the q-th generator powers."""
 
-    q: int
-    twists: tuple  # ascending positive integers, one per syzygy rank
+    __slots__ = ("q", "twists")  # twists: ascending positive integers, one per syzygy rank
 
-    def __post_init__(self):
-        object.__setattr__(self, "twists", tuple(sorted(int(e) for e in self.twists)))
+    def __init__(self, q: int, twists):
+        super().__init__(q, tuple(sorted(int(e) for e in twists)))
 
 
-@dataclass(frozen=True)
-class NotStabilized:
+class NotStabilized(Frozen):
     """Twist multisets at two q values that are not Frobenius-scaled copies."""
 
-    first: SplittingType
-    second: SplittingType
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: SplittingType, second: SplittingType):
+        super().__init__(first, second)
 
     def __bool__(self):
         return False
@@ -108,13 +106,12 @@ def _twists_from_hn(hn: HNData, q: int) -> tuple:
     return tuple(int(v * q) for r, v in zip(hn.ranks, hn.nus) for _ in range(r))
 
 
-@dataclass
 class ProfileReport:
     """Outcome of comparing the computed twists with the predicted ones."""
 
-    q: int
-    twists: tuple
-    mismatches: list = dc_field(default_factory=list)
+    def __init__(self, q: int, twists: tuple, mismatches: list | None = None):
+        self.q, self.twists = q, twists
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self) -> bool:
@@ -144,19 +141,15 @@ def verify_h0_profile(ideal: IdealSpec, q: int, hn: HNData) -> ProfileReport:
     return ProfileReport(q=q, twists=twists, mismatches=mismatches)
 
 
-@dataclass
 class SplittingReport:
     """End-to-end record: splittings, stabilization, slope data, residual check."""
 
-    ideal: IdealSpec
-    splittings: list
-    stabilized: bool
-    hn: HNData | None
-    ehk: Fraction | None
-    phi_rows: list  # (q, phi)
-    residual_bound: Fraction | None
-    max_residual: Fraction | None
-    verified_q: int | None
+    def __init__(self, ideal: IdealSpec, splittings: list, stabilized: bool, hn: HNData | None,
+                 ehk: Fraction | None, phi_rows: list, residual_bound: Fraction | None,
+                 max_residual: Fraction | None, verified_q: int | None):  # phi_rows: (q, phi)
+        self.ideal, self.splittings, self.stabilized, self.hn = ideal, splittings, stabilized, hn
+        self.ehk, self.phi_rows, self.residual_bound = ehk, phi_rows, residual_bound
+        self.max_residual, self.verified_q = max_residual, verified_q
 
 
 def analyze_ideal(ideal: IdealSpec, *, max_exponent: int = 3) -> SplittingReport:

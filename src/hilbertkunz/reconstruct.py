@@ -12,11 +12,10 @@ residuals so a human can judge the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
-from .errors import UserError
+from .errors import Frozen, UserError
 
 
 def default_denominator_bound(n: int, degY: int, p: int, e_cap: int) -> int:
@@ -55,14 +54,11 @@ class AmbiguousReconstruction(Exception):
         super().__init__(msg)
 
 
-@dataclass
 class ReconstructionReport:
-    estimate: Fraction
-    raw: Fraction
-    bound: int
-    window: Fraction
-    q_pair: tuple
-    residuals: dict  # q -> |phi - estimate * q^2| / q
+    def __init__(self, estimate: Fraction, raw: Fraction, bound: int, window: Fraction,
+                 q_pair: tuple, residuals: dict):  # residuals: q -> |phi - estimate * q^2| / q
+        self.estimate, self.raw, self.bound, self.window = estimate, raw, bound, window
+        self.q_pair, self.residuals = q_pair, residuals
 
 
 def estimate_ehk(table, bound: int, *, window=None, window_constant=None):
@@ -118,11 +114,13 @@ def _sqrt_exact(x: Fraction):
     return None
 
 
-@dataclass(frozen=True)
-class QuadraticIrrational:
+class QuadraticIrrational(Frozen):
     """The value (3 + sqrt(disc))/2 when the discriminant is not a square."""
 
-    disc: Fraction
+    __slots__ = ("disc",)
+
+    def __init__(self, disc: Fraction):
+        super().__init__(disc)
 
     def __str__(self):
         return f"(3 + sqrt({self.disc}))/2"

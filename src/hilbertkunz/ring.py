@@ -7,7 +7,6 @@ one-divisor division algorithm under the fixed grevlex order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field
 from math import comb
 
 from .errors import NotPrimaryError, UserError
@@ -173,7 +172,6 @@ def first_vanishing_degree(ring: GradedRing, gens, bound: int) -> int:
     )
 
 
-@dataclass
 class IdealSpec:
     """A homogeneous primary ideal given by explicit generators.
 
@@ -189,28 +187,23 @@ class IdealSpec:
     base change.
     """
 
-    ring: GradedRing
-    gens: tuple
-    degrees: tuple = dc_field(init=False)
-    primarity_degree: int = dc_field(init=False)
-
-    def __post_init__(self):
-        nvars, relation = self.ring.nvars, self.ring.relation
+    def __init__(self, ring: GradedRing, gens: tuple):
+        nvars, relation = ring.nvars, ring.relation
         if nvars != (2 if relation is None else 3):
-            raise UserError(f"{self.ring!r}: the ring must be F_p[x,y] or a plane-curve "
+            raise UserError(f"{ring!r}: the ring must be F_p[x,y] or a plane-curve "
                             "cone F_p[x,y,z]/(H)")
-        gens = []
-        for g in self.gens:
-            g = self.ring.reduce(g)
+        reduced = []
+        for g in gens:
+            g = ring.reduce(g)
             if g.is_zero():
                 raise UserError("zero generator")
             if not g.is_homogeneous():
                 raise UserError(f"generator {g!r} is not homogeneous")
-            gens.append(g)
-        if len(gens) < 2:
+            reduced.append(g)
+        if len(reduced) < 2:
             raise UserError("need at least two generators")
-        self.gens = tuple(gens)
-        self.degrees = tuple(g.degree() for g in gens)
+        self.ring, self.gens = ring, tuple(reduced)
+        self.degrees = tuple(g.degree() for g in reduced)
         D = max(*self.degrees, 1 if relation is None else relation.degree())
         bound = nvars * (D - 1) + 1
         self.primarity_degree = first_vanishing_degree(self.ring, self.gens, bound)

@@ -9,28 +9,22 @@ the multiplicity formula reads
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UserError
+from .errors import Frozen, UserError
 
 
-@dataclass(frozen=True)
-class HNData:
+class HNData(Frozen):
     """Strong slope summary of a syzygy bundle: ranks r_k and thresholds nu_k.
 
     n is the number of ideal generators, degY the degree of O_Y(1).
     The raw normalized slope mubar_k is recoverable as -nu_k * degY.
     """
 
-    n: int
-    degY: int
-    ranks: tuple
-    nus: tuple  # strictly increasing Fractions
+    __slots__ = ("n", "degY", "ranks", "nus")  # nus: strictly increasing Fractions
 
-    def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        object.__setattr__(self, "nus", tuple(Fraction(v) for v in self.nus))
+    def __init__(self, n: int, degY: int, ranks, nus):
+        super().__init__(n, degY, tuple(int(r) for r in ranks), tuple(Fraction(v) for v in nus))
 
     @property
     def t(self) -> int:

@@ -7,16 +7,16 @@ about fields, matrices, or normal forms.  Oracles should be dumb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import NotPrimaryError, UserError
+from .errors import Frozen, NotPrimaryError, UserError
 
 
-@dataclass(frozen=True)
-class MonomialIdeal2:
+class MonomialIdeal2(Frozen):
     """Monomial ideal in K[x,y], stored as a minimal generating set."""
 
-    gens: tuple  # sorted tuple of (a, b) exponent pairs
+    __slots__ = ("gens",)  # sorted tuple of (a, b) exponent pairs
+
+    def __init__(self, gens: tuple):
+        super().__init__(gens)
 
     @classmethod
     def from_pairs(cls, pairs) -> "MonomialIdeal2":

@@ -213,3 +213,45 @@ def test_frobenius_pullback_scales_twists():
         s1 = splitting_type(ideal, 3)
         s2 = splitting_type(ideal, 9)
         assert tuple(3 * e for e in s1.twists) == s2.twists
+
+
+def _q1_colengths_and_twists(ideal):
+    """phi(1) and the twists at q = 1 from the per-degree route, not the kernel.
+
+    h^0(m) = sum_j (m - e_j + 1)_+, so its second difference at m counts the
+    twists e_j = m; every twist is at most sum(d_i), their sum.
+    """
+    top = sum(ideal.degrees) + 1
+    pieces = [engine._degree_piece(ideal.ring, ideal.gens, ideal.degrees, m) for m in range(top + 1)]
+    h0 = [0, 0] + [piece.syzygy_h0 for piece in pieces]
+    twists = [m for m in range(top + 1) for _ in range(h0[m + 2] - 2 * h0[m + 1] + h0[m])]
+    assert pieces[-1].colength == 0 and len(twists) == ideal.n - 1
+    return sum(piece.colength for piece in pieces), tuple(twists)
+
+
+@pytest.mark.parametrize("p,top_q,seed", [(2, 2**14, 0), (2, 2**14, 1), (2, 2**14, 2),
+                                          (3, 3**8, 0), (3, 3**8, 1), (3, 3**8, 2),
+                                          (65521, 65521, 0), (65521, 65521, 1),
+                                          (2**31 - 1, 1, 0)])
+def test_kunz_on_the_plane(p, top_q, seed):
+    """Over F_p[x,y], phi(q) = q^2 phi(1) (Kunz) and the twists at q are q times
+    those at q = 1 (Frobenius pullback on P^1), on seeded binary-form ideals."""
+    rng = random.Random(seed)
+    F = PrimeField(p)
+    R = GradedRing(F, ("x", "y"))
+    while True:
+        degrees = [rng.randint(2, 4) for _ in range(rng.randint(2, 3))]
+        gens = [Poly(F, 2, {(a, d - a): rng.randrange(p) for a in range(d + 1)}) for d in degrees]
+        if any(g.is_zero() for g in gens):
+            continue
+        try:
+            ideal = IdealSpec(R, tuple(gens))
+            break
+        except NotPrimaryError:
+            continue
+    phi1, twists1 = _q1_colengths_and_twists(ideal)
+    q = 1
+    while q <= top_q:
+        assert engine.hk_value(ideal, q).phi == q * q * phi1, (ideal, q)
+        assert splitting_type(ideal, q).twists == tuple(q * e for e in twists1), (ideal, q)
+        q *= p
