@@ -14,11 +14,10 @@ import argparse
 import sys
 from fractions import Fraction
 from itertools import product
-from math import isqrt
 
 from . import corpus, engine
 from .errors import CapExceededError, ParseError, UserError
-from .field import PrimeField
+from .field import PrimeField, prime_base
 from .p1 import analyze_ideal
 from .poly import Poly, parse_poly
 from .reconstruct import (
@@ -303,8 +302,7 @@ def cmd_reconstruct(args) -> int:
         qs = [q for q, _ in rows if q > 1]
         if not qs:
             raise UserError(f"{args.table}: no row with q > 1 to read p from; pass --bound")
-        q0 = min(qs)
-        p = next((d for d in range(2, isqrt(q0) + 1) if q0 % d == 0), q0)  # least prime factor
+        p = prime_base(min(qs))
         # conservative default: n unknown from a bare table, use n = 3
         e_cap = engine.validate_prime_power(p, max(qs))
         bound = default_denominator_bound(3, args.degY, p, e_cap)

@@ -403,18 +403,18 @@ def split(ring: GradedRing, gens, q: int) -> Split | None:
                  _kernel_twists(ring, rows))
 
 
-def runs(ring: GradedRing, gens, q: int, top: int):
+def runs(ring: GradedRing, gens, q: int, top: int, s: Split | None):
     """Degrees 0..top of R/(g^q for g in gens) as runs (m, n, rows, cols, h0,
     drows, dcols, dh0): in degree m + k, k < n, target and source dimensions
     and h^0 are rows + k drows, cols + k dcols and h0 + k dh0.
 
-    On the twists of ``split`` each is sum_a (m - a + 1)_+ over its degrees
-    a: one run per gap between breakpoints a <= top.  colength and rank are
-    linear on a run, so both are checked >= 0 at its ends; wrong twists cut
-    the run before its first bad degree, which ``InternalError`` names.
-    Where ``split`` gives None, each degree is a run, from ``_degree_piece``.
+    s is the caller's ``split(ring, gens, q)``.  On its twists each is
+    sum_a (m - a + 1)_+ over its degrees a: one run per gap between
+    breakpoints a <= top.  colength and rank are linear on a run, so both
+    are checked >= 0 at its ends; wrong twists cut the run before its first
+    bad degree, which ``InternalError`` names.  Where s is None, each degree
+    is a run, from ``_degree_piece``.
     """
-    s = split(ring, gens, q)
     if s is None:
         powers = [g for g in frobenius_power_gens(ring, gens, q) if not g.is_zero()]
         for m in range(top + 1):
@@ -447,7 +447,7 @@ def runs(ring: GradedRing, gens, q: int, top: int):
 
 def pieces(ring: GradedRing, gens, q: int, top: int):
     """DegreePiece of R/(g^q for g in gens) for m = 0..top, expanded from ``runs``."""
-    for m, n, rows, cols, h0, drows, dcols, dh0 in runs(ring, gens, q, top):
+    for m, n, rows, cols, h0, drows, dcols, dh0 in runs(ring, gens, q, top, split(ring, gens, q)):
         for k in range(n):
             r, c, h = rows + k * drows, cols + k * dcols, h0 + k * dh0
             yield DegreePiece(m + k, r - c + h, h, c - h, r, c)
@@ -456,13 +456,20 @@ def pieces(ring: GradedRing, gens, q: int, top: int):
 class HKRow:
     """One row of the Hilbert-Kunz function: q -> colength of I^[q]."""
 
-    def __init__(self, q: int, phi: int, cutoff: int, per_degree: dict | None = None):
+    def __init__(self, q: int, phi: int, cutoff: int, per_degree: dict | None = None,
+                 twists: tuple | None = None):
         self.q, self.phi, self.cutoff = q, phi, cutoff  # cutoff: first degree of the zero tail
         self.per_degree = {} if per_degree is None else per_degree
+        self.twists = twists  # sorted, from the kernel route; None on the per-degree route
 
 
 def hk_value(ideal: IdealSpec, q: int) -> HKRow:
     """phi(I, q) = length(R/I^[q]) by summing the colengths of ``runs``.
+
+    One ``split`` per call.  On the kernel route R/I^[q] has finite length,
+    so there are as many twists as sources (the rows that exist: none for a
+    g with g^q = 0) minus targets, summing to sum s - sum l, or
+    ``InternalError`` is raised; the twists summed are kept, sorted.
 
     One vanishing graded piece forces all higher pieces to vanish, so
     summation stops at the first run of z zero degrees, z the sum of the
@@ -474,21 +481,29 @@ def hk_value(ideal: IdealSpec, q: int) -> HKRow:
     with r_i < q; in degree q*m0 + nvars*(q-1) and above, sum b_i >= m0,
     so x^b lies in I and the monomial in I^[q].
     """
+    s = split(ideal.ring, ideal.gens, q)
+    twists = None
+    if s is not None:
+        twists = tuple(sorted(s.twists))
+        count, total = len(s.sources) - len(s.targets), sum(s.sources) - sum(s.targets)
+        if (len(twists), sum(twists)) != (count, total):
+            raise InternalError(f"{len(twists)} twists summing to {sum(twists)}, expected "
+                                f"{count} summing to {total}: {list(twists)}")
     z = max(1, sum(ideal.degrees))
     hard_cap = q * ideal.primarity_degree + ideal.ring.nvars * (q - 1) + z
     per_degree = {}
     phi = zeros = 0  # zeros: the run of zero colengths ending in the last degree summed
-    for m, n, rows, cols, h0, drows, dcols, dh0 in runs(ideal.ring, ideal.gens, q, hard_cap):
+    for m, n, rows, cols, h0, drows, dcols, dh0 in runs(ideal.ring, ideal.gens, q, hard_cap, s):
         c, dc = rows - cols + h0, drows - dcols + dh0
         lead = n if c == dc == 0 else int(c == 0)  # zeros at the run's start
         if lead and zeros + lead >= z:
             per_degree.update(dict.fromkeys(range(m, m + z - zeros), 0))
-            return HKRow(q=q, phi=phi, cutoff=m - zeros, per_degree=per_degree)
+            return HKRow(q, phi, m - zeros, per_degree, twists)
         zeros = zeros + n if lead == n else int(c + (n - 1) * dc == 0)
         per_degree.update(zip(range(m, m + n), range(c, c + n * dc, dc) if dc else repeat(c, n)))
         phi += n * c + n * (n - 1) // 2 * dc
         if zeros >= z:
-            return HKRow(q=q, phi=phi, cutoff=m + n - zeros, per_degree=per_degree)
+            return HKRow(q, phi, m + n - zeros, per_degree, twists)
     raise CapExceededError(
         f"no vanishing tail up to degree {hard_cap} for q={q}; non-primary input"
     )

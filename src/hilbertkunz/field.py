@@ -35,6 +35,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _root(q: int, e: int) -> int:
+    """floor(q^(1/e)) for q >= 1, by integer Newton steps from above."""
+    x = 1 << -(-q.bit_length() // e)
+    while (y := ((e - 1) * x + q // x ** (e - 1)) // e) < x:
+        x = y
+    return x
+
+
+def prime_base(q: int) -> int:
+    """The prime p with q = p^e, e >= 1, or UserError.
+
+    q = r^e for the largest such e is a prime power iff r is prime.
+    """
+    if q > 1:
+        r = next(r for e in range(q.bit_length(), 0, -1) if (r := _root(q, e)) ** e == q)
+        if is_prime(r):
+            return r
+    raise UserError(f"q must be a power of a prime, got {q}")
+
+
 class PrimeField(Frozen):
     """The field Z/p, 2 <= p < 2^31.
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import groupby
 
 from . import engine
-from .errors import Frozen, InternalError, UserError
-from .field import is_prime
+from .errors import Frozen, UserError
+from .field import prime_base
 from .ring import IdealSpec
 from .slopes import HNData, _require_valid, ehk_from_hn
 
@@ -50,27 +50,12 @@ class NotStabilized(Frozen):
 
 
 def splitting_type(ideal: IdealSpec, q: int) -> SplittingType:
-    """The twists of the q-th generator powers, read from their kernel basis."""
+    """The twists of the q-th generator powers, as ``hk_value`` reads and checks them.
+
+    On P^1 its check is n - 1 twists summing to q * sum(d_i).
+    """
     _require_p1(ideal)
-    n = ideal.n
-    st = SplittingType(q=q, twists=engine.split(ideal.ring, ideal.gens, q).twists)
-    if len(st.twists) != n - 1:
-        raise InternalError(
-            f"found {len(st.twists)} twists, expected {n - 1} (rank of the bundle)"
-        )
-    if sum(st.twists) != q * sum(ideal.degrees):
-        raise InternalError(
-            f"twist sum {sum(st.twists)} != q * sum(d_i) = {q * sum(ideal.degrees)}"
-        )
-    return st
-
-
-def _root(q: int, e: int) -> int:
-    """floor(q^(1/e)) for q >= 1, by integer Newton steps from above."""
-    x = 1 << -(-q.bit_length() // e)
-    while (y := ((e - 1) * x + q // x ** (e - 1)) // e) < x:
-        x = y
-    return x
+    return SplittingType(q=q, twists=engine.hk_value(ideal, q).twists)
 
 
 def hn_from_splittings(s1: SplittingType, s2: SplittingType, *, n=None):
@@ -82,12 +67,8 @@ def hn_from_splittings(s1: SplittingType, s2: SplittingType, *, n=None):
     """
     if s2.q <= s1.q:
         raise UserError("second splitting type must have the larger q")
-    # s2.q = p^e for the largest such e: a power of its least prime factor iff p is prime
-    p = next(r for e in range(s2.q.bit_length(), 0, -1) if (r := _root(s2.q, e)) ** e == s2.q)
-    q = s1.q
-    while q > 1 and q % p == 0:
-        q //= p
-    if q != 1 or not is_prime(p):
+    p = prime_base(s2.q)
+    if s1.q != 1 and prime_base(s1.q) != p:
         raise UserError("q values must differ by a power of the characteristic")
     ratio = s2.q // s1.q
     scaled = tuple(sorted(ratio * e for e in s1.twists))
@@ -127,7 +108,7 @@ def verify_h0_profile(ideal: IdealSpec, q: int, hn: HNData) -> ProfileReport:
     * every ideal over K[x,y] takes the kernel route, where
       h0(m) = sum_j (m - e_j + 1)_+ is computed from the twists themselves;
     * h0 over all m determines the twist multiset;
-    * ``splitting_type`` enforces n - 1 twists summing to q*sum(d_i); given
+    * ``hk_value`` enforces n - 1 twists summing to q*sum(d_i); given
       that, for m >= q*max(d_i) - 1 the colength equals
       h1(m) = sum_j (e_j - m - 1)_+ identically, so the duality check adds
       nothing once the multisets agree.
@@ -155,17 +136,20 @@ class SplittingReport:
 def analyze_ideal(ideal: IdealSpec, *, max_exponent: int = 3) -> SplittingReport:
     """Compute splittings at q = p, p^2, ... until stabilized, then verify.
 
-    Splitting types are tried up to q = p^max_exponent.  phi is computed
-    at q = 1 and at every q with a splitting type; the residual constant
-    C is estimated from the two smallest q and checked at the largest.
+    Splitting types are tried up to q = p^max_exponent, each with its phi
+    from one ``hk_value``; phi is computed at q = 1 too.  The residual
+    constant C is estimated from the two smallest q and checked at the
+    largest.
     """
+    _require_p1(ideal)
     p = ideal.field.p
-    splittings = [splitting_type(ideal, p)]
+    rows = [engine.hk_value(ideal, p)]
+    splittings = [SplittingType(q=p, twists=rows[0].twists)]
     hn = None
     for e in range(2, max_exponent + 1):
-        nxt = splitting_type(ideal, p**e)
-        result = hn_from_splittings(splittings[-1], nxt, n=ideal.n)
-        splittings.append(nxt)
+        rows.append(engine.hk_value(ideal, p**e))
+        splittings.append(SplittingType(q=p**e, twists=rows[-1].twists))
+        result = hn_from_splittings(*splittings[-2:], n=ideal.n)
         if isinstance(result, HNData):
             hn = result
             break
@@ -174,8 +158,7 @@ def analyze_ideal(ideal: IdealSpec, *, max_exponent: int = 3) -> SplittingReport
             ideal, splittings, False, None, None, [], None, None, None
         )
     ehk = ehk_from_hn(hn, ideal.degrees)
-    q_values = sorted({1} | {s.q for s in splittings})
-    phi_rows = [(q, engine.hk_value(ideal, q).phi) for q in q_values]
+    phi_rows = [(row.q, row.phi) for row in [engine.hk_value(ideal, 1)] + rows]
     small = phi_rows[:2]
     c_bound = max(Fraction(abs(phi - ehk * q * q), q) for q, phi in small)
     q_big, phi_big = phi_rows[-1]

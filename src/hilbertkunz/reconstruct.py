@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import factorial, isqrt
 
 from .errors import Frozen, UserError
+from .field import prime_base
 
 
 def default_denominator_bound(n: int, degY: int, p: int, e_cap: int) -> int:
@@ -67,12 +68,15 @@ def estimate_ehk(table, bound: int, *, window=None, window_constant=None):
     The difference quotient is taken over the two largest q.  The
     acceptance window is ``window``, or K / q1 with q1 the smaller of the
     two and K = window_constant (callers with an ideal pass 4 * sum of
-    generator degrees).  Raises AmbiguousReconstruction when no
-    bounded-denominator fraction lands inside the window.
+    generator degrees).  Every q must be 1 or a power of one prime p.
+    Raises AmbiguousReconstruction when no bounded-denominator fraction
+    lands inside the window.
     """
     rows = sorted((int(q), int(phi)) for q, phi in table)
     if len(rows) < 2:
         raise UserError("need at least two (q, phi) rows")
+    if len({prime_base(q) for q, _ in rows if q != 1}) > 1:
+        raise UserError("q values must be powers of one prime")
     (q1, phi1), (q2, phi2) = rows[-2], rows[-1]
     if q2 <= q1:
         raise UserError("q values must be distinct")

@@ -160,10 +160,13 @@ def first_vanishing_degree(ring: GradedRing, gens, bound: int) -> int:
     In a standard-graded ring one vanishing graded piece forces all
     higher ones to vanish, so the first hit is returned; it is at an end
     of one of ``engine.runs``, on which the colength is linear and >= 0.
+    The twists are not checked against count and sum here (``hk_value``
+    does): a non-primary ideal breaks both, and must end in NotPrimaryError.
     """
-    from .engine import runs
+    from .engine import runs, split
 
-    for m, n, rows, cols, h0, drows, dcols, dh0 in runs(ring, gens, 1, bound):
+    s = split(ring, gens, 1)
+    for m, n, rows, cols, h0, drows, dcols, dh0 in runs(ring, gens, 1, bound, s):
         c = rows - cols + h0
         if c == 0 or c + (n - 1) * (drows - dcols + dh0) == 0:
             return m if c == 0 else m + n - 1

@@ -4,10 +4,12 @@
 JSON line; a fault there shows only as a malformed or failed benchmark
 run.  The in-process test runs the same steps: draw, build, every
 operation, each operation's check, and the ``summary`` the digest covers,
-which must serialize to JSON.  The traced test runs the worker itself
+which must serialize to JSON and hash to the seed-1 digest pinned here:
+the same numbers as before, byte for byte.  The traced test runs the worker itself
 with ``--trace`` and checks that its layer boundaries still resolve.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -42,6 +44,13 @@ def _load_workloads():
 
 workloads = _load_workloads()
 
+# sha256 of json.dumps(rows, sort_keys=True) for the seed-1 pass
+DIGESTS = {
+    "gf2_monomial": "3a434174ee1985b884980003f7191803a1b0a28fb9ecae060d8ac881bf628648",
+    "cone_cubic": "75ce60ab3feaa5269ec65a6fe3b48b8a637e112b4d70a8a8f6798ed840e6fa44",
+    "p1_dense": "feaee0c7451c79116a0f31fd83cf65f1bc260cbab05cf94f6af39c6af566d484",
+}
+
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_pass(name):
@@ -62,7 +71,9 @@ def test_workload_pass(name):
                 failures.append(f"{op.label}: {msg}")
             rows.append([op.label, workloads.summary(results[op.label])])
     assert failures == []
-    assert json.loads(json.dumps(rows, sort_keys=True)) == rows
+    text = json.dumps(rows, sort_keys=True)
+    assert json.loads(text) == rows
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", [w["name"] for w in SPEC["workloads"]])

@@ -171,6 +171,30 @@ def test_reconstruct_default_bound_reads_p_from_prime_factor(tmp_path, capsys):
     assert "q > 1" in err
 
 
+def test_reconstruct_refuses_q_off_the_powers_of_one_prime(tmp_path, capsys):
+    """q = 1, 6, 8 and a row with q = 0 are user errors (exit 1), with or
+    without --bound, and no traceback."""
+    for qs in ((1, 6, 8), (0, 5, 25)):
+        table = tmp_path / "phi.csv"
+        table.write_text("q,phi\n" + "".join(f"{q},{7 * q * q}\n" for q in qs))
+        for extra in ([], ["--bound", "500"]):
+            code, out, err = run_cli(["reconstruct", "--table", str(table)] + extra, capsys)
+            assert (code, out) == (1, "")
+            assert "Traceback" not in err
+
+
+def test_reconstruct_reads_p_near_2_31_from_q(tmp_path, capsys):
+    """A table from q = p^2 with p = 2^31 - 1 reads p by an integer root, not
+    by trial division up to p."""
+    p = 2**31 - 1
+    table = tmp_path / "phi.csv"
+    table.write_text("q,phi\n" + "".join(f"{q},{7 * q * q}\n" for q in (p**2, p**3)))
+    code, out, _ = run_cli(["reconstruct", "--table", str(table)], capsys)
+    assert code == 0
+    assert "ehk = 7" in out
+    assert f"denominator_bound = {4 * p**3}" in out
+
+
 def test_exit_code_user_error(capsys):
     # non-primary ideal
     code, _, err = run_cli(["compute", "--p", "2", "--gens", "x;x^2", "--q", "2"], capsys)

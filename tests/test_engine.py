@@ -184,7 +184,7 @@ def test_hard_cap_raises(monkeypatch):
     ideal = free_ideal(2, ("x", "y"))
     seen = []
 
-    def never_vanishing(ring, gens, q, top):
+    def never_vanishing(ring, gens, q, top, s):
         for m in range(top + 1):
             seen.append(m)
             yield m, 1, 1, 0, 0, 0, 0, 0
@@ -240,7 +240,7 @@ Z_GENS = {1: ("1", "x"), 2: ("x", "y"), 3: ("x", "y^2"), 4: ("x", "y^3"), 5: ("x
 def test_hk_value_sums_runs_as_the_degree_loop(monkeypatch, z, spans):
     """phi, cutoff and per_degree from the runs equal the degree-by-degree loop."""
     ideal = free_ideal(2, Z_GENS[z])
-    monkeypatch.setattr(engine, "runs", lambda ring, gens, q, top: _colength_runs(*spans))
+    monkeypatch.setattr(engine, "runs", lambda ring, gens, q, top, s: _colength_runs(*spans))
     row = engine.hk_value(ideal, 1)
     assert (row.phi, row.cutoff, row.per_degree) == _hk_reference(_colength_runs(*spans), z)
 
@@ -354,7 +354,8 @@ def test_wrong_twists_raise(monkeypatch):
 def test_wrong_twists_name_the_first_bad_degree(monkeypatch):
     """A run that fails its check is walked: the error names the first degree
     in which running counts over the split's degrees give colength < 0 or
-    rank < 0, with those counts."""
+    rank < 0, with those counts.  ``runs`` is driven directly: ``hk_value``
+    stops such twists earlier, at its count and sum check."""
     ideal = fermat_ideal()
     twists = engine._kernel_twists
     for wrong in (lambda ring, gens: [0] * len(twists(ring, gens)),
@@ -367,8 +368,37 @@ def test_wrong_twists_name_the_first_bad_degree(monkeypatch):
         expected = (f"twists {sorted(s.twists)} give colength {rows - cols + h0} "
                     f"and h0 {h0} of {cols} columns in degree {m}")
         with pytest.raises(InternalError) as raised:
-            engine.hk_value(ideal, 5)
+            list(engine.runs(ideal.ring, ideal.gens, 5, 99, s))
         assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("ideal", [fermat_ideal(), free_ideal(5, ("x^3", "x*y^2", "y^3"))],
+                         ids=["fermat", "plane"])
+def test_a_lowered_twist_fails_the_count_and_sum(monkeypatch, ideal):
+    """One twist lowered by 1 keeps the count and breaks the sum, on a cone
+    and on F_5[x,y]: ``hk_value`` raises InternalError naming the expected
+    count and sum, and never runs into the degree cap."""
+    s = engine.split(ideal.ring, ideal.gens, 5)
+    count, total = len(s.sources) - len(s.targets), sum(s.sources) - sum(s.targets)
+    assert (len(s.twists), sum(s.twists)) == (count, total)
+    twists = engine._kernel_twists
+    monkeypatch.setattr(engine, "_kernel_twists",
+                        lambda ring, rows: [e - (j == 0) for j, e in enumerate(twists(ring, rows))])
+    with pytest.raises(InternalError) as raised:
+        engine.hk_value(ideal, 5)
+    assert f"expected {count} summing to {total}" in str(raised.value)
+
+
+def test_hk_row_keeps_the_twists_it_summed():
+    """HKRow.twists is the sorted twists of the one split on the kernel route
+    (a cone here; P^1 in test_p1), and None on the per-degree route."""
+    ideal = fermat_ideal()
+    for q in (1, 5, 25):
+        row = engine.hk_value(ideal, q)
+        assert row.twists == tuple(sorted(engine.split(ideal.ring, ideal.gens, q).twists))
+    names = ("x", "y", "z")
+    R = GradedRing(F2, names, relation=parse_poly("x^2*y+x*y^2", names, F2))
+    assert engine.hk_value(IdealSpec(R, tuple(R.parse(v) for v in names)), 2).twists is None
 
 
 def test_fermat_cubic_at_q625():

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from hilbertkunz.errors import UserError
-from hilbertkunz.field import PrimeField, is_prime
+from hilbertkunz.field import PrimeField, is_prime, prime_base
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
@@ -47,3 +47,13 @@ def test_field_is_hashable_and_frozen():
     assert len({PrimeField(5), PrimeField(5), PrimeField(7)}) == 2
     with pytest.raises(dataclasses.FrozenInstanceError):
         PrimeField(5).p = 7
+
+
+def test_prime_base():
+    """p for q = p^e, e >= 1, including p near 2^31; UserError for every other q."""
+    M = 2**31 - 1
+    for p, e in ((2, 1), (2, 10), (3, 5), (5, 8), (65521, 2), (M, 1), (M, 2), (M, 8)):
+        assert prime_base(p**e) == p
+    for q in (-4, 0, 1, 6, 12, 36, 100, M * 2, M * 65521, 2**4 * 3**4):
+        with pytest.raises(UserError):
+            prime_base(q)

@@ -39,6 +39,29 @@ def test_splitting_known_examples():
     assert splitting_type(ideal2, 2).twists == (8, 10)
 
 
+def test_splitting_type_is_the_twists_hk_value_summed():
+    for gens in (("x", "y"), ("x^2", "x*y", "y^2"), ("x^3", "x*y^2", "y^3")):
+        ideal = free_ideal(5, gens)
+        for q in (5, 25):
+            assert engine.hk_value(ideal, q).twists == splitting_type(ideal, q).twists
+
+
+def test_analyze_ideal_computes_one_kernel_per_q(monkeypatch):
+    """q = 5 and 25 for the splitting types, and q = 1 for phi: three kernels."""
+    ideal = free_ideal(5, ("x^3", "x*y^2", "y^3"))
+    calls, split = [], engine.split
+
+    def counting_split(ring, gens, q):
+        calls.append(q)
+        return split(ring, gens, q)
+
+    monkeypatch.setattr(engine, "split", counting_split)
+    report = analyze_ideal(ideal)
+    assert sorted(calls) == [1, 5, 25]
+    assert report.phi_rows == [(1, 7), (5, 175), (25, 4375)]
+    assert [s.twists for s in report.splittings] == [(20, 25), (100, 125)]
+
+
 def test_twist_sum_invariant():
     ideal = free_ideal(3, ("x^2", "y^2", "x*y"))
     for q in (3, 9):

@@ -106,3 +106,11 @@ def test_nu2_irrational_branch():
     assert value.disc == Fraction(1, 3)
     assert 0 <= value.disc <= 1
     assert "sqrt" in str(value)
+
+
+@pytest.mark.parametrize("qs", [(1, 6, 8), (0, 5, 25), (-5, 5, 25), (2, 3), (4, 9, 27)])
+def test_estimate_refuses_q_off_the_powers_of_one_prime(qs):
+    """q < 1, and q > 1 that are not powers of one prime, are user errors:
+    (1, 6, 8) is not read off its last pair (6, 8), and q = 0 divides nothing."""
+    with pytest.raises(UserError):
+        estimate_ehk([(q, 7 * q * q) for q in qs], 500, window_constant=16)
