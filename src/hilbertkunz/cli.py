@@ -5,7 +5,8 @@ Ring and ideal data come from a flat key = value config file or from the
 equivalent command-line flags (flags win).  Outputs are deterministic:
 the same config always produces byte-identical tables and reports.
 
-Exit codes: 0 success, 1 user error, 2 cap exceeded, 3 corpus failure.
+Exit codes: 0 success, 1 user error, 2 cap exceeded, 3 corpus failure,
+4 internal error (a failed consistency check: a bug, reported in one line).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import corpus, engine
-from .errors import CapExceededError, ParseError, UserError
-from .field import PrimeField, prime_base
+from .errors import CapExceededError, InternalError, ParseError, UserError
+from .field import PrimeField, prime_base, validate_prime_power
 from .p1 import analyze_ideal
 from .poly import Poly, parse_poly
 from .reconstruct import (
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_USER = 1
 EXIT_CAP = 2
 EXIT_CORPUS = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,7 +120,7 @@ def _q_list(config: dict, p: int) -> list:
             q = int(part)
         except ValueError:
             raise UserError(f"q values must be integers, got {part!r}")
-        engine.validate_prime_power(p, q)
+        validate_prime_power(p, q)
         qs.append(q)
     if not qs:
         raise UserError("empty q list")
@@ -304,7 +306,7 @@ def cmd_reconstruct(args) -> int:
             raise UserError(f"{args.table}: no row with q > 1 to read p from; pass --bound")
         p = prime_base(min(qs))
         # conservative default: n unknown from a bare table, use n = 3
-        e_cap = engine.validate_prime_power(p, max(qs))
+        e_cap = validate_prime_power(p, max(qs))
         bound = default_denominator_bound(3, args.degY, p, e_cap)
     window = _frac(args.window) if args.window else None
     window_constant = args.window_constant
@@ -420,6 +422,9 @@ def main(argv=None) -> int:
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -28,23 +28,11 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain, product, repeat
 
-from .errors import CapExceededError, InternalError, UserError
+from .errors import CapExceededError, InternalError
+from .field import validate_prime_power
 from .linalg import RankBuilder
 from .poly import Poly
 from .ring import GradedRing, IdealSpec
-
-
-def validate_prime_power(p: int, q: int) -> int:
-    """Return e with q = p^e, or raise."""
-    if q < 1:
-        raise UserError(f"q must be a positive power of {p}, got {q}")
-    e = 0
-    while q > 1:
-        if q % p:
-            raise UserError(f"q must be a power of the characteristic {p}")
-        q //= p
-        e += 1
-    return e
 
 
 def frobenius_power_gens(ring: GradedRing, gens, q: int) -> tuple:
@@ -58,14 +46,10 @@ def frobenius_power_gens(ring: GradedRing, gens, q: int) -> tuple:
     return tuple(ring.reduce(Poly(ring.field, ring.nvars, terms)) for terms in powers)
 
 
-def _generic_columns(ring: GradedRing, g, d: int, m: int):
-    """Columns of the multiplication-by-g map R_{m-d} -> R_m as {row: coeff} dicts.
-
-    d is g's declared degree, so a generator reduced to zero still yields
-    its dim R_{m-d} (empty) columns.
-    """
+def _generic_columns(ring: GradedRing, g, m: int):
+    """Columns of the multiplication-by-g map R_{m-deg g} -> R_m as {row: coeff} dicts."""
     index = {e: i for i, e in enumerate(ring.basis(m))}
-    for mu in ring.basis(m - d):
+    for mu in ring.basis(m - g.degree()):
         yield {index[e]: c for e, c in ring.reduce(Poly.monomial(g.field, mu) * g).terms.items()}
 
 
@@ -73,14 +57,14 @@ DegreePiece = namedtuple("DegreePiece", "m colength syzygy_h0 rank dim_target di
 DegreePiece.__doc__ = "Per-degree data of R/(gens): the map (+)_i R_{m - d_i} -> R_m."
 
 
-def _degree_piece(ring: GradedRing, gens, degrees, m: int) -> DegreePiece:
-    """The degree-m map (+)_i R_{m - degrees[i]} -> R_m, assembled and eliminated whole."""
+def _degree_piece(ring: GradedRing, gens, m: int) -> DegreePiece:
+    """The degree-m map (+)_i R_{m - deg g_i} -> R_m of nonzero gens, eliminated whole."""
     rows = ring.hilbert_dim(m)
-    cols = sum(ring.hilbert_dim(m - d) for d in degrees)
+    cols = sum(ring.hilbert_dim(m - g.degree()) for g in gens)
     builder = RankBuilder(ring.field)
     fed = 0
-    for g, d in zip(gens, degrees):
-        for col in _generic_columns(ring, g, d, m):
+    for g in gens:
+        for col in _generic_columns(ring, g, m):
             builder.add_column(col)
             fed += 1
     rank = builder.rank()
@@ -341,15 +325,6 @@ def _kernel_twists(ring: GradedRing, rows) -> list:
     return [sd for pos, (_, sd) in pivots.items() if pos >= h]
 
 
-def degree_piece(ideal: IdealSpec, q: int, m: int) -> DegreePiece:
-    """Colength and syzygy dimension of the degree-m piece of R/I^[q]."""
-    if m < 0:
-        return DegreePiece(m, 0, 0, 0, 0, 0)
-    validate_prime_power(ideal.field.p, q)
-    gens_q = frobenius_power_gens(ideal.ring, ideal.gens, q)
-    return _degree_piece(ideal.ring, gens_q, [q * d for d in ideal.degrees], m)
-
-
 def _linear_change(H: Poly):
     """(order, images): H(Mx) is monic in x, with x_j -> images[j] = (Mx)_j.
 
@@ -404,22 +379,20 @@ def split(ring: GradedRing, gens, q: int) -> Split | None:
 
 
 def runs(ring: GradedRing, gens, q: int, top: int, s: Split | None):
-    """Degrees 0..top of R/(g^q for g in gens) as runs (m, n, rows, cols, h0,
-    drows, dcols, dh0): in degree m + k, k < n, target and source dimensions
-    and h^0 are rows + k drows, cols + k dcols and h0 + k dh0.
+    """Degrees 0..top of R/(g^q for g in gens) as runs (m, n, c, dc): degree
+    m + k, k < n, has colength c + k dc.
 
-    s is the caller's ``split(ring, gens, q)``.  On its twists each is
-    sum_a (m - a + 1)_+ over its degrees a: one run per gap between
-    breakpoints a <= top.  colength and rank are linear on a run, so both
-    are checked >= 0 at its ends; wrong twists cut the run before its first
-    bad degree, which ``InternalError`` names.  Where s is None, each degree
-    is a run, from ``_degree_piece``.
+    s is the caller's ``split(ring, gens, q)``.  On its twists the target and
+    source dimensions and h^0 are each sum_a (m - a + 1)_+ over its degrees
+    a: one run per gap between breakpoints a <= top.  colength and rank are
+    linear on a run, so both are checked >= 0 at its ends; wrong twists cut
+    the run before its first bad degree, which ``InternalError`` names.
+    Where s is None, each degree is a run, from ``_degree_piece``.
     """
     if s is None:
         powers = [g for g in frobenius_power_gens(ring, gens, q) if not g.is_zero()]
         for m in range(top + 1):
-            piece = _degree_piece(ring, powers, [g.degree() for g in powers], m)
-            yield m, 1, piece.dim_target, piece.dim_source, piece.syzygy_h0, 0, 0, 0
+            yield m, 1, _degree_piece(ring, powers, m).colength, 0
         return
     starts = {}
     for which, degrees in enumerate(s):
@@ -438,19 +411,11 @@ def runs(ring: GradedRing, gens, q: int, top: int, s: Split | None):
         if min(c, c + (n - 1) * dc, r, r + (n - 1) * dr) < 0:
             k = next(k for k in range(n) if c + k * dc < 0 or r + k * dr < 0)
         if k:
-            yield m, k, rows, cols, h0, drows, dcols, dh0
+            yield m, k, c, dc
         if k < n:
             raise InternalError(f"twists {sorted(s.twists)} give colength {c + k * dc} and h0 "
                                 f"{h0 + k * dh0} of {cols + k * dcols} columns in degree {m + k}")
         rows, cols, h0 = rows + (n - 1) * drows, cols + (n - 1) * dcols, h0 + (n - 1) * dh0
-
-
-def pieces(ring: GradedRing, gens, q: int, top: int):
-    """DegreePiece of R/(g^q for g in gens) for m = 0..top, expanded from ``runs``."""
-    for m, n, rows, cols, h0, drows, dcols, dh0 in runs(ring, gens, q, top, split(ring, gens, q)):
-        for k in range(n):
-            r, c, h = rows + k * drows, cols + k * dcols, h0 + k * dh0
-            yield DegreePiece(m + k, r - c + h, h, c - h, r, c)
 
 
 class HKRow:
@@ -493,8 +458,7 @@ def hk_value(ideal: IdealSpec, q: int) -> HKRow:
     hard_cap = q * ideal.primarity_degree + ideal.ring.nvars * (q - 1) + z
     per_degree = {}
     phi = zeros = 0  # zeros: the run of zero colengths ending in the last degree summed
-    for m, n, rows, cols, h0, drows, dcols, dh0 in runs(ideal.ring, ideal.gens, q, hard_cap, s):
-        c, dc = rows - cols + h0, drows - dcols + dh0
+    for m, n, c, dc in runs(ideal.ring, ideal.gens, q, hard_cap, s):
         lead = n if c == dc == 0 else int(c == 0)  # zeros at the run's start
         if lead and zeros + lead >= z:
             per_degree.update(dict.fromkeys(range(m, m + z - zeros), 0))

@@ -55,6 +55,19 @@ def prime_base(q: int) -> int:
     raise UserError(f"q must be a power of a prime, got {q}")
 
 
+def validate_prime_power(p: int, q: int) -> int:
+    """Return e with q = p^e, or raise."""
+    if q < 1:
+        raise UserError(f"q must be a positive power of {p}, got {q}")
+    e = 0
+    while q > 1:
+        if q % p:
+            raise UserError(f"q must be a power of the characteristic {p}")
+        q //= p
+        e += 1
+    return e
+
+
 class PrimeField(Frozen):
     """The field Z/p, 2 <= p < 2^31.
 

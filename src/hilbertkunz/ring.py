@@ -165,10 +165,8 @@ def first_vanishing_degree(ring: GradedRing, gens, bound: int) -> int:
     """
     from .engine import runs, split
 
-    s = split(ring, gens, 1)
-    for m, n, rows, cols, h0, drows, dcols, dh0 in runs(ring, gens, 1, bound, s):
-        c = rows - cols + h0
-        if c == 0 or c + (n - 1) * (drows - dcols + dh0) == 0:
+    for m, n, c, dc in runs(ring, gens, 1, bound, split(ring, gens, 1)):
+        if c == 0 or c + (n - 1) * dc == 0:
             return m if c == 0 else m + n - 1
     raise NotPrimaryError(
         f"no vanishing graded piece up to degree {bound}; ideal is not primary"

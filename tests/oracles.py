@@ -5,6 +5,7 @@ columns, textbook elimination.  None of it shares code with the package
 internals beyond the public Monomial convention (exponent tuples).
 """
 
+from collections import namedtuple
 from itertools import product
 
 
@@ -82,3 +83,21 @@ def value_at(terms, point, p):
             v *= a**k
         total += v
     return total % p
+
+
+Piece = namedtuple("Piece", "m colength syzygy_h0 rank dim_target dim_source")
+
+
+def split_pieces(split, top):
+    """Per-degree data for m = 0..top from the degrees of a kernel split.
+
+    ``split`` is (targets, sources, twists), the degrees of bases of free
+    modules, and each dimension in degree m is sum_a (m - a + 1)_+ over its
+    degrees, summed afresh for every m.  The fields are in the order of the
+    package's DegreePiece, so the two compare equal as tuples.
+    """
+    out = []
+    for m in range(top + 1):
+        rows, cols, h0 = (sum(max(0, m - a + 1) for a in degrees) for degrees in split)
+        out.append(Piece(m, rows - cols + h0, h0, cols - h0, rows, cols))
+    return out

@@ -4,13 +4,16 @@ These checks only read: a deletion that would break
 ``benchmarks/workloads.py`` fails here instead of in a benchmark run, and
 no module keeps hidden cross-call state in a ``functools`` cache.  The
 package runs on the standard library alone, so importing it and computing
-loads no numpy.  The record classes are plain code: importing the package
+loads no numpy.  Every public function of ``engine`` has a caller in
+``src/`` or in the benchmark workloads, so none lives on for the tests
+alone.  The record classes are plain code: importing the package
 or its CLI loads neither ``dataclasses`` nor ``inspect`` nor ``typing``, the
 value types keep the equality, hash, repr and immutability of frozen
 dataclasses, and the ``gc.freeze()`` that ends the import leaves the
 collector working.
 """
 
+import ast
 import copy
 import dataclasses
 import importlib
@@ -20,6 +23,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -99,6 +103,26 @@ def test_benchmark_names_exist():
     used = set(re.findall(r"\bhk\.([A-Za-z_]\w*)", WORKLOADS.read_text(encoding="utf-8")))
     assert used, "no hk.<name> found in the benchmark workloads"
     assert sorted(name for name in used if not hasattr(hk, name)) == []
+
+
+def _called_names(paths):
+    """The names called in the given files, as f(...) or obj.f(...)."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                names.add(getattr(node.func, "attr", getattr(node.func, "id", None)))
+    return names
+
+
+def test_public_engine_functions_have_a_caller():
+    from hilbertkunz import engine
+
+    public = sorted(name for name, obj in vars(engine).items()
+                    if isinstance(obj, types.FunctionType) and obj.__module__ == engine.__name__
+                    and not name.startswith("_"))
+    called = _called_names([*(ROOT / "src").rglob("*.py"), WORKLOADS])
+    assert public and [name for name in public if name not in called] == []
 
 
 def test_no_module_level_cache():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 from hilbertkunz import cli
 
 
@@ -223,6 +228,37 @@ def test_exit_code_cap_exceeded(monkeypatch, capsys):
     code, _, err = run_cli(["compute", "--p", "2", "--gens", "x;y", "--q", "2"], capsys)
     assert code == 2
     assert "cap exceeded" in err
+
+
+LOWERED_TWIST = textwrap.dedent("""
+    import sys
+    from hilbertkunz import cli, engine
+
+    split = engine.split
+
+    def lowered(ring, gens, q):
+        s = split(ring, gens, q)
+        if q == 5:
+            s = s._replace(twists=[e - (j == 0) for j, e in enumerate(s.twists)])
+        return s
+
+    engine.split = lowered
+    sys.exit(cli.main(["compute", "--p", "5", "--vars", "x,y,z", "--hypersurface",
+                       "x^3+y^3+z^3", "--gens", "x;y;z", "--q", "5"]))
+""")
+
+
+def test_exit_code_internal_error():
+    """A twist lowered at q = 5 fails hk_value's count and sum check: the CLI
+    prints one `internal error:` line, no traceback, and exits 4."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", LOWERED_TWIST], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_INTERNAL == 4
+    assert proc.stdout == ""
+    assert proc.stderr == ("internal error: 6 twists summing to 50, expected 6 summing to 51: "
+                           "[7, 8, 8, 9, 9, 9]\n")
 
 
 def test_formula_mode_validation(capsys):

@@ -8,14 +8,14 @@ import pytest
 
 from hilbertkunz import engine
 from hilbertkunz.errors import CapExceededError, InternalError, NotPrimaryError, UserError
-from hilbertkunz.field import PrimeField
+from hilbertkunz.field import PrimeField, validate_prime_power
 from hilbertkunz.p1 import splitting_type, verify_h0_profile
 from hilbertkunz.poly import Poly, parse_poly
 from hilbertkunz.ring import GradedRing, IdealSpec
 from hilbertkunz.slopes import HNData
 from hilbertkunz.staircase import MonomialIdeal2, staircase_colength
 
-from oracles import ambient_colength, frobenius_terms
+from oracles import ambient_colength, frobenius_terms, split_pieces
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -31,6 +31,12 @@ def fermat_ideal(p=5):
     names = ("x", "y", "z")
     R = GradedRing(F, names, relation=parse_poly("x^3+y^3+z^3", names, F))
     return IdealSpec(R, tuple(R.parse(v) for v in names))
+
+
+def degree_piece(ideal, q, m):
+    """The per-degree route in degree m on the nonzero q-th powers of the generators."""
+    powers = [g for g in engine.frobenius_power_gens(ideal.ring, ideal.gens, q) if not g.is_zero()]
+    return engine._degree_piece(ideal.ring, powers, m)
 
 
 CONE_GENS = ("x + 2y + 3z", "x*y + 4z^2", "y^2 + x*z + 2*y*z")
@@ -58,44 +64,48 @@ def test_degree_piece_counts_the_columns_it_feeds(monkeypatch):
     full = R.basis
     monkeypatch.setattr(R, "basis", lambda k: full(k)[1:] if k == 1 else full(k))
     with pytest.raises(InternalError):
-        engine.degree_piece(ideal, 1, 2)
+        degree_piece(ideal, 1, 2)
 
 
-def test_zero_frobenius_power_keeps_its_columns():
-    """(x,y,z) on F_2[x,y,z]/(x^2) at q = 2: x^2 reduces to zero."""
+def test_zero_frobenius_power_gives_no_columns():
+    """(x,y,z) on F_2[x,y,z]/(x^2) at q = 2: x^2 reduces to zero and, as on
+    the kernel route, gives no source columns: dim_source = 2 dim R_(m-2), and
+    each piece equals the split's closed form."""
     names = ("x", "y", "z")
     R = GradedRing(F2, names, relation=parse_poly("x^2", names, F2))
     ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
     assert engine.frobenius_power_gens(R, ideal.gens, 2)[0].is_zero()
     gens = [frobenius_terms(g.terms, 2, 2) for g in ideal.gens]
+    closed = split_pieces(engine.split(R, ideal.gens, 2), 6)
     for m in range(7):
-        piece = engine.degree_piece(ideal, 2, m)
+        piece = degree_piece(ideal, 2, m)
         assert piece.colength == ambient_colength({(2, 0, 0): 1}, gens, 3, 2, m)
-        assert piece.dim_source == 3 * R.hilbert_dim(m - 2)
+        assert piece.dim_source == 2 * R.hilbert_dim(m - 2)
+        assert piece == closed[m]
 
 
 def test_validate_prime_power():
-    assert engine.validate_prime_power(2, 8) == 3
-    assert engine.validate_prime_power(5, 1) == 0
+    assert validate_prime_power(2, 8) == 3
+    assert validate_prime_power(5, 1) == 0
     with pytest.raises(UserError):
-        engine.validate_prime_power(2, 6)
+        validate_prime_power(2, 6)
     with pytest.raises(UserError):
-        engine.validate_prime_power(3, 0)
+        validate_prime_power(3, 0)
 
 
 def test_monomial_survivor_counts():
     """(x,y)^[4] over F_2: count degree-m monomials outside (x^4, y^4)."""
     ideal = free_ideal(2, ("x", "y"))
-    assert engine.degree_piece(ideal, 4, 3).colength == 4
-    assert engine.degree_piece(ideal, 4, 5).colength == 2  # x^3 y^2, x^2 y^3
-    assert engine.degree_piece(ideal, 4, 7).colength == 0
-    assert engine.degree_piece(ideal, 4, -1).colength == 0
+    assert degree_piece(ideal, 4, 3).colength == 4
+    assert degree_piece(ideal, 4, 5).colength == 2  # x^3 y^2, x^2 y^3
+    assert degree_piece(ideal, 4, 7).colength == 0
+    assert degree_piece(ideal, 4, -1).colength == 0
 
 
 def test_degree_piece_consistency():
     ideal = fermat_ideal()
     for m in range(0, 10):
-        piece = engine.degree_piece(ideal, 5, m)
+        piece = degree_piece(ideal, 5, m)
         assert piece.dim_target - piece.rank == piece.colength
         assert piece.dim_source - piece.rank == piece.syzygy_h0
         assert 0 <= piece.rank <= min(piece.dim_target, piece.dim_source)
@@ -112,7 +122,7 @@ def test_hypersurface_against_ambient_oracle():
     for m, want in frozen.items():
         live = ambient_colength(relation, gens_q, 3, 5, m)
         assert live == want
-        assert engine.degree_piece(ideal, 5, m).colength == want
+        assert degree_piece(ideal, 5, m).colength == want
 
 
 def test_hk_value_fermat_q5():
@@ -143,7 +153,7 @@ def test_free_ring_dense_against_ambient_oracle():
         q = 5
         gen_dicts = [frobenius_terms(g.terms, q, 5) for g in gens]
         for m in range(0, 2 * q * max(ideal.degrees) + 2):
-            assert engine.degree_piece(ideal, q, m).colength == ambient_colength(
+            assert degree_piece(ideal, q, m).colength == ambient_colength(
                 None, gen_dicts, 2, 5, m
             )
 
@@ -187,7 +197,7 @@ def test_hard_cap_raises(monkeypatch):
     def never_vanishing(ring, gens, q, top, s):
         for m in range(top + 1):
             seen.append(m)
-            yield m, 1, 1, 0, 0, 0, 0, 0
+            yield m, 1, 1, 0
 
     monkeypatch.setattr(engine, "runs", never_vanishing)
     with pytest.raises(CapExceededError):
@@ -199,9 +209,9 @@ def _hk_reference(runs, z):
     """(phi, cutoff, per_degree) by the degree-by-degree loop over the expanded runs."""
     per_degree = {}
     phi = zeros_run = 0
-    for m, n, rows, cols, h0, drows, dcols, dh0 in runs:
+    for m, n, c0, dc in runs:
         for k in range(n):
-            c = rows - cols + h0 + k * (drows - dcols + dh0)
+            c = c0 + k * dc
             per_degree[m + k] = c
             phi += c
             zeros_run = zeros_run + 1 if c == 0 else 0
@@ -211,11 +221,10 @@ def _hk_reference(runs, z):
 
 
 def _colength_runs(*spans):
-    """Runs (m, n, ...) with colength c + k dc in degree m + k, from spans (n, c, dc)
-    laid end to end from degree 0 (rank 2 + k, h0 1 + k)."""
+    """Runs (m, n, c, dc) from spans (n, c, dc) laid end to end from degree 0."""
     m = 0
     for n, c, dc in spans:
-        yield m, n, c + 2, 3, 1, dc + 1, 2, 1
+        yield m, n, c, dc
         m += n
 
 
@@ -261,7 +270,7 @@ def test_hard_cap_holds_on_high_degree_curve():
 def test_syzygy_h0_profile_example():
     """h0 profile of Syz(x^3, xy^2, y^3) at q = 2: twists are (8, 10)."""
     ideal = free_ideal(2, ("x^3", "x*y^2", "y^3"))
-    values = {m: engine.degree_piece(ideal, 2, m).syzygy_h0 for m in (7, 8, 9, 10, 11)}
+    values = {m: degree_piece(ideal, 2, m).syzygy_h0 for m in (7, 8, 9, 10, 11)}
     assert values == {7: 0, 8: 1, 9: 2, 10: 4, 11: 6}
 
 
@@ -460,14 +469,18 @@ def test_narrow_keeps_the_low_slots(w, wide):
 
 def test_fermat_quartic_h0_profile_splits():
     """Over F_3 at q = 27 the kernel twists are q*4/3 + {0..3} and q*5/3 + {0..3},
-    and every h0 of ``pieces`` is the split formula over them."""
+    and every h0 of the per-degree route is the split formula over them."""
     F = PrimeField(3)
     names = ("x", "y", "z")
     R = GradedRing(F, names, relation=parse_poly("x^4+y^4+z^4", names, F))
     ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
     twists = list(range(36, 40)) + list(range(45, 49))
     top = max(twists) + 4
-    h0 = [piece.syzygy_h0 for piece in engine.pieces(R, ideal.gens, 27, top)]
+    s = engine.split(R, ideal.gens, 27)
+    assert sorted(s.twists) == twists
+    pieces = [degree_piece(ideal, 27, m) for m in range(top + 1)]
+    assert pieces == split_pieces(s, top)
+    h0 = [piece.syzygy_h0 for piece in pieces]
     assert h0 == [sum(max(0, m - e + 1) for e in twists) for m in range(top + 1)]
 
 
@@ -502,7 +515,8 @@ def test_reduce_slots_matches_per_slot_mod(p, w):
 def test_kernel_reduces_full_slots_at_the_largest_prime(monkeypatch):
     """At p = 2^31 - 1 a slot is 64 bits and takes room = 4 transformations
     between reductions: slots holding sums of several products (>= p^2)
-    reach ``_reduce_slots``, and the pieces equal the per-degree reference.
+    reach ``_reduce_slots``, and the split's closed form equals the per-degree
+    reference.
     Dense forms with coefficients up to p - 1 fill the slots; without the
     reduction after every room transformations, this cone's slots carry."""
     p = 2**31 - 1
@@ -524,15 +538,15 @@ def test_kernel_reduces_full_slots_at_the_largest_prime(monkeypatch):
     R = GradedRing(F, ("x", "y", "z"), relation=dense(3))  # x^3 in H: no change of coordinates
     gens = [dense(1), dense(2), dense(2)]
     top = 10
-    got = list(engine.pieces(R, gens, 1, top))
+    got = split_pieces(engine.split(R, gens, 1), top)
     assert largest and max(largest) >= p * p
-    assert got == [engine._degree_piece(R, gens, [1, 2, 2], m) for m in range(top + 1)]
+    assert got == [engine._degree_piece(R, gens, m) for m in range(top + 1)]
 
 
 def test_kernel_strips_top_slots_that_are_zero_mod_p_but_not_zero(monkeypatch):
     """Over F_2 the leading terms meet as 1 + 1 = 2: the top slot is 0 mod 2
     but not 0, and runs of such slots are stripped until the top is odd.
-    The pieces equal the per-degree reference."""
+    The split's closed form equals the per-degree reference."""
     stripped = []
     strip = engine._strip
 
@@ -547,10 +561,10 @@ def test_kernel_strips_top_slots_that_are_zero_mod_p_but_not_zero(monkeypatch):
     R = GradedRing(F2, names, relation=parse_poly("x^3+y^2*z+z^3", names, F2))
     gens = [R.parse(t) for t in ("x+y", "y*z+x^2", "z^2+x*y")]
     top = 50
-    got = list(engine.pieces(R, gens, 16, top))
+    got = split_pieces(engine.split(R, gens, 16), top)
     assert any(t % 2 == 0 and t and n >= 2 for t, n in stripped)
     powers = engine.frobenius_power_gens(R, gens, 16)
-    assert got == [engine._degree_piece(R, powers, [16, 32, 32], m) for m in range(top + 1)]
+    assert got == [engine._degree_piece(R, powers, m) for m in range(top + 1)]
 
 
 def test_kernel_loop_raises_instead_of_hanging():
@@ -570,7 +584,7 @@ def test_kernel_loop_raises_instead_of_hanging():
         gens = [R.parse(t) for t in ("x+y", "y*z+x^2", "z^2+x*y")]
         engine._strip = lambda x, p, w: x
         try:
-            list(engine.pieces(R, gens, 16, 50))
+            engine.split(R, gens, 16)
         except InternalError:
             print("InternalError")
     """)

@@ -18,6 +18,8 @@ from hilbertkunz.poly import Poly
 from hilbertkunz.ring import GradedRing, IdealSpec
 from hilbertkunz.slopes import HNData, validate
 
+from oracles import split_pieces
+
 
 def free_ideal(p, gen_texts):
     R = GradedRing(PrimeField(p), ("x", "y"))
@@ -156,7 +158,7 @@ def _profile_ok_per_degree(ideal, q, hn):
     """Reference: h0 degree by degree against the split formula in the predicted
     twists, and the colength against the duality defect h1 from q*max(d_i) on."""
     twists = [int(v * q) for r, v in zip(hn.ranks, hn.nus) for _ in range(r)]
-    for piece in engine.pieces(ideal.ring, ideal.gens, q, max(twists) + 2):
+    for piece in split_pieces(engine.split(ideal.ring, ideal.gens, q), max(twists) + 2):
         m = piece.m
         if piece.syzygy_h0 != sum(max(0, m - e + 1) for e in twists):
             return False
@@ -245,7 +247,7 @@ def _q1_colengths_and_twists(ideal):
     twists e_j = m; every twist is at most sum(d_i), their sum.
     """
     top = sum(ideal.degrees) + 1
-    pieces = [engine._degree_piece(ideal.ring, ideal.gens, ideal.degrees, m) for m in range(top + 1)]
+    pieces = [engine._degree_piece(ideal.ring, ideal.gens, m) for m in range(top + 1)]
     h0 = [0, 0] + [piece.syzygy_h0 for piece in pieces]
     twists = [m for m in range(top + 1) for _ in range(h0[m + 2] - 2 * h0[m + 1] + h0[m])]
     assert pieces[-1].colength == 0 and len(twists) == ideal.n - 1

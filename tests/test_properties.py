@@ -1,16 +1,17 @@
 """Cross-route property tests on random primary ideals.
 
-Each drawn ideal of F_p[x,y] is run through the kernel route
-(``engine.pieces``), the per-degree route (``_degree_piece``), the
-ambient-ring elimination in ``oracles.py`` and the splitting type, and
-the four must agree.  p = 65521 and p = 2^31 - 1 run the kernel on 64-bit
-slots, and at 2^31 - 1 a slot takes only (2^64 - p) // (p - 1)^2 = 4
-transformations between reductions.  For p > 5 only q = 1 is drawn: at q = p
+Each drawn ideal of F_p[x,y] is run through the kernel route (its split
+in closed form, ``oracles.split_pieces``, and ``hk_value``), the
+per-degree route (``_degree_piece``), the ambient-ring elimination in
+``oracles.py`` and the splitting type, and the four must agree.
+p = 65521 and p = 2^31 - 1 run the kernel on 64-bit slots, and at
+2^31 - 1 a slot takes only (2^64 - p) // (p - 1)^2 = 4 transformations
+between reductions.  For p > 5 only q = 1 is drawn: at q = p
 the degrees run into the tens of thousands.
 
 Each drawn ideal of a cone F_p[x,y,z]/(H), deg H in 2..6, is checked
 degree by degree against the same ambient elimination of (H, g_i^q),
-and ``engine.pieces`` against ``_degree_piece`` on the powers g_i^q
+and the split's closed form against ``_degree_piece`` on the powers g_i^q
 multiplied out and reduced in the original coordinates, so the kernel
 route is checked against powers it did not take itself; the cone draws
 run at the same p as the binary ones.  A random H may have an x^h, a
@@ -44,7 +45,7 @@ from hilbertkunz.p1 import splitting_type
 from hilbertkunz.poly import Poly, parse_poly
 from hilbertkunz.ring import GradedRing, IdealSpec
 
-from oracles import ambient_colength, frobenius_terms, value_at
+from oracles import ambient_colength, frobenius_terms, split_pieces, value_at
 
 CASES = ((2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5), (65521, 1), (2**31 - 1, 1))
 
@@ -74,7 +75,18 @@ def _per_degree_pieces(ideal, q, top):
     reduced in the original coordinates, so not by the code under test."""
     ring = ideal.ring
     gens = [g for g in (ring.reduce(g**q) for g in ideal.gens) if not g.is_zero()]
-    return [engine._degree_piece(ring, gens, [g.degree() for g in gens], m) for m in range(top + 1)]
+    return [engine._degree_piece(ring, gens, m) for m in range(top + 1)]
+
+
+def _routed_pieces(ideal, q, top):
+    """The pieces of the route ``hk_value`` takes: the split's closed form, or
+    where ``split`` is None, the per-degree route on ``frobenius_power_gens``."""
+    ring = ideal.ring
+    s = engine.split(ring, ideal.gens, q)
+    if s is not None:
+        return split_pieces(s, top)
+    powers = [g for g in engine.frobenius_power_gens(ring, ideal.gens, q) if not g.is_zero()]
+    return [engine._degree_piece(ring, powers, m) for m in range(top + 1)]
 
 
 def _oracle_colengths(ideal, q, top):
@@ -93,11 +105,10 @@ def test_routes_agree_on_binary_forms(p, q, data):
     top = max(last, q * ideal.max_pair_degree() + 2)
     oracle = _oracle_colengths(ideal, q, top)
 
-    # kernel-route pieces equal the per-degree pieces of the plainly multiplied powers
+    # the split's closed form equals the per-degree pieces of the plainly multiplied powers
     gens_q = [g**q for g in ideal.gens]
-    degrees_q = [q * d for d in ideal.degrees]
-    streamed = list(engine.pieces(ideal.ring, ideal.gens, q, last))
-    assert streamed == [engine._degree_piece(ideal.ring, gens_q, degrees_q, m) for m in range(last + 1)]
+    streamed = split_pieces(engine.split(ideal.ring, ideal.gens, q), last)
+    assert streamed == [engine._degree_piece(ideal.ring, gens_q, m) for m in range(last + 1)]
 
     # hk_value's per-degree colengths equal the ambient elimination
     assert row.per_degree == {m: oracle[m] for m in range(last + 1)}
@@ -155,7 +166,7 @@ def test_cone_colengths_match_ambient_oracle(p, q, data):
         m: ambient_colength(relation, gens, 3, p, m) for m in row.per_degree
     }
     last = max(row.per_degree)
-    assert list(engine.pieces(ideal.ring, ideal.gens, q, last)) == _per_degree_pieces(ideal, q, last)
+    assert _routed_pieces(ideal, q, last) == _per_degree_pieces(ideal, q, last)
 
 
 @pytest.mark.parametrize("p,q", [(p, q) for p in (2, 3, 5, 7) for q in (1, p, p * p)])
@@ -191,14 +202,15 @@ CONES = (
 @pytest.mark.parametrize("gen_texts", (("x", "y", "z"), ("x+y", "y^2", "z^2"), ("x+2*y", "y^2", "z^2")))
 @pytest.mark.parametrize("p,relation", CONES)
 def test_cone_routes_agree(p, relation, gen_texts):
-    """pieces equals _degree_piece piece for piece, and the ambient elimination, at q = 1 and p."""
+    """The routed pieces equal _degree_piece piece for piece, and the ambient
+    elimination, at q = 1 and p."""
     field = PrimeField(p)
     names = ("x", "y", "z")
     ring = GradedRing(field, names, relation=parse_poly(relation, names, field))
     ideal = IdealSpec(ring, tuple(ring.parse(t) for t in gen_texts))
     for q in (1, p):
         last = max(engine.hk_value(ideal, q).per_degree)
-        streamed = list(engine.pieces(ring, ideal.gens, q, last))
+        streamed = _routed_pieces(ideal, q, last)
         assert streamed == _per_degree_pieces(ideal, q, last)
         gens = [frobenius_terms(g.terms, q, p) for g in ideal.gens]
         assert [piece.colength for piece in streamed] == [
