@@ -4,7 +4,6 @@ import gc
 
 from .engine import HKRow, hk_value
 from .errors import (
-    CapExceededError,
     InternalError,
     NotPrimaryError,
     ParseError,
@@ -43,7 +42,6 @@ from .staircase import MonomialIdeal2, staircase_colength
 
 __all__ = [
     "AmbiguousReconstruction",
-    "CapExceededError",
     "GradedRing",
     "HKRow",
     "HNData",

@@ -5,8 +5,8 @@ Ring and ideal data come from a flat key = value config file or from the
 equivalent command-line flags (flags win).  Outputs are deterministic:
 the same config always produces byte-identical tables and reports.
 
-Exit codes: 0 success, 1 user error, 2 cap exceeded, 3 corpus failure,
-4 internal error (a failed consistency check: a bug, reported in one line).
+Exit codes: 0 success, 1 user error, 3 corpus failure, 4 internal error
+(a failed consistency check: a bug, reported in one line); 2 is unused.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import corpus, engine
-from .errors import CapExceededError, InternalError, ParseError, UserError
+from .errors import InternalError, ParseError, UserError
 from .field import PrimeField, prime_base, validate_prime_power
 from .p1 import analyze_ideal
 from .poly import Poly, parse_poly
@@ -37,7 +37,6 @@ from .slopes import (
 
 EXIT_OK = 0
 EXIT_USER = 1
-EXIT_CAP = 2
 EXIT_CORPUS = 3
 EXIT_INTERNAL = 4
 
@@ -132,6 +131,21 @@ def _echo_config(config: dict, out) -> None:
         print(f"# {key} = {config[key]}", file=out)
 
 
+def _write_csv(path: str | None, config: dict, lines) -> None:
+    """The echoed config, then lines: to the file at path, or to stdout."""
+    try:
+        out = open(path, "w", encoding="utf-8") if path else sys.stdout
+    except OSError as exc:
+        raise UserError(f"cannot write {path}: {exc}")
+    try:
+        _echo_config(config, out)
+        for line in lines:
+            print(line, file=out)
+    finally:
+        if path:
+            out.close()
+
+
 # -- subcommands -------------------------------------------------------
 
 
@@ -179,22 +193,10 @@ def cmd_compute(args) -> int:
         print(f"smoothness advisory: {note}", file=sys.stderr)
     qs = _q_list(config, ideal.field.p)
     rows = [engine.hk_value(ideal, q) for q in qs]
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        _echo_config(config, out)
-        print("q,phi", file=out)
-        for row in rows:
-            print(f"{row.q},{row.phi}", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.out, config, ["q,phi"] + [f"{row.q},{row.phi}" for row in rows])
     if args.degrees_out:
-        with open(args.degrees_out, "w", encoding="utf-8") as fh:
-            _echo_config(config, fh)
-            print("q,m,colength", file=fh)
-            for row in rows:
-                for m in sorted(row.per_degree):
-                    print(f"{row.q},{m},{row.per_degree[m]}", file=fh)
+        _write_csv(args.degrees_out, config, ["q,m,colength"] + [
+            f"{row.q},{m},{c}" for row in rows for m, c in sorted(row.per_degree.items())])
     return EXIT_OK
 
 
@@ -416,9 +418,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USER
-    except CapExceededError as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER

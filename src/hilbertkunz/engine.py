@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain, product, repeat
 
-from .errors import CapExceededError, InternalError
+from .errors import InternalError
 from .field import validate_prime_power
 from .linalg import RankBuilder
 from .poly import Poly
@@ -436,15 +436,15 @@ def hk_value(ideal: IdealSpec, q: int) -> HKRow:
     g with g^q = 0) minus targets, summing to sum s - sum l, or
     ``InternalError`` is raised; the twists summed are kept, sorted.
 
-    One vanishing graded piece forces all higher pieces to vanish, so
-    summation stops at the first run of z zero degrees, z the sum of the
-    generator degrees (at least 1); ``per_degree`` holds every colength
-    summed.  On a run the colength is >= 0 and linear, so it sums as an
-    arithmetic series, and its zeros are the whole run, or its first or
-    last degree.  A primary ideal never hits the cap q*m0 + nvars*(q-1) + z,
-    m0 the primarity degree: write each exponent as a_i = q b_i + r_i
-    with r_i < q; in degree q*m0 + nvars*(q-1) and above, sum b_i >= m0,
-    so x^b lies in I and the monomial in I^[q].
+    R is standard graded, R_(m+1) = R_1 R_m, so the first degree whose
+    colength is 0 ends the sum: ``cutoff``.  On a run the colength is >= 0
+    and linear, so it sums as an arithmetic series, and it is 0 on the
+    whole run or at its first or last degree only.  ``per_degree`` holds
+    every colength summed and then z zeros from ``cutoff`` on, z the sum of
+    the generator degrees (at least 1).  A primary ideal vanishes by degree
+    q*m0 + nvars*(q-1), m0 the primarity degree: write each exponent as
+    a_i = q b_i + r_i with r_i < q; from that degree on sum b_i >= m0, so
+    x^b lies in I and x^a in I^[q].  A walk past it raises ``InternalError``.
     """
     s = split(ideal.ring, ideal.gens, q)
     twists = None
@@ -454,20 +454,14 @@ def hk_value(ideal: IdealSpec, q: int) -> HKRow:
         if (len(twists), sum(twists)) != (count, total):
             raise InternalError(f"{len(twists)} twists summing to {sum(twists)}, expected "
                                 f"{count} summing to {total}: {list(twists)}")
-    z = max(1, sum(ideal.degrees))
-    hard_cap = q * ideal.primarity_degree + ideal.ring.nvars * (q - 1) + z
+    bound = q * ideal.primarity_degree + ideal.ring.nvars * (q - 1)
     per_degree = {}
-    phi = zeros = 0  # zeros: the run of zero colengths ending in the last degree summed
-    for m, n, c, dc in runs(ideal.ring, ideal.gens, q, hard_cap, s):
-        lead = n if c == dc == 0 else int(c == 0)  # zeros at the run's start
-        if lead and zeros + lead >= z:
-            per_degree.update(dict.fromkeys(range(m, m + z - zeros), 0))
-            return HKRow(q, phi, m - zeros, per_degree, twists)
-        zeros = zeros + n if lead == n else int(c + (n - 1) * dc == 0)
-        per_degree.update(zip(range(m, m + n), range(c, c + n * dc, dc) if dc else repeat(c, n)))
-        phi += n * c + n * (n - 1) // 2 * dc
-        if zeros >= z:
-            return HKRow(q, phi, m + n - zeros, per_degree, twists)
-    raise CapExceededError(
-        f"no vanishing tail up to degree {hard_cap} for q={q}; non-primary input"
-    )
+    phi = 0
+    for m, n, c, dc in runs(ideal.ring, ideal.gens, q, bound, s):
+        k = 0 if c == 0 else n - 1 if c + (n - 1) * dc == 0 else n  # degrees before a zero
+        per_degree.update(zip(range(m, m + k), range(c, c + k * dc, dc) if dc else repeat(c, k)))
+        phi += k * c + k * (k - 1) // 2 * dc
+        if k < n:
+            per_degree.update(dict.fromkeys(range(m + k, m + k + max(1, sum(ideal.degrees))), 0))
+            return HKRow(q, phi, m + k, per_degree, twists)
+    raise InternalError(f"no vanishing degree up to {bound} for q={q} on a primary ideal")

@@ -19,10 +19,6 @@ class NotPrimaryError(UserError):
     """The ideal is not primary to the irrelevant ideal."""
 
 
-class CapExceededError(Exception):
-    """A configured resource cap (degree, matrix size, exponent) was hit."""
-
-
 class InternalError(AssertionError):
     """An internal consistency check failed; indicates a bug."""
 

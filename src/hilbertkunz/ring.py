@@ -179,13 +179,13 @@ class IdealSpec:
     The ring is F_p[x,y] or a plane-curve cone F_p[x,y,z]/(H), the two
     classes of the paper.  Construction checks that and homogeneity,
     records generator degrees, reduces generators to normal form, and
-    finds the primarity degree m0, the first m with (R/I)_m = 0, searching m <= N(D-1)+1 with N = nvars and
-    D the largest degree among the generators and the relation.  That
-    bound holds for every primary I: I+(H) is primary in K[x_1..x_N] and
-    generated in degrees <= D, so over an infinite extension of K it
-    contains N general forms of degree D, a regular sequence whose
-    quotient vanishes above degree N(D-1); colengths do not change under
-    base change.
+    finds the primarity degree m0, the first m with (R/I)_m = 0, searching
+    m <= N(D-1)+1 with N = nvars and D the largest degree among the
+    generators and the relation.  That bound holds for every primary I:
+    I+(H) is primary in K[x_1..x_N] and generated in degrees <= D, so over
+    an infinite extension of K it contains N general forms of degree D, a
+    regular sequence whose quotient vanishes above degree N(D-1);
+    colengths do not change under base change.
     """
 
     def __init__(self, ring: GradedRing, gens: tuple):

@@ -3,6 +3,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 from hilbertkunz import cli
 
 
@@ -218,16 +220,35 @@ def test_exit_code_user_error(capsys):
     assert code == 1
 
 
-def test_exit_code_cap_exceeded(monkeypatch, capsys):
-    from hilbertkunz.errors import CapExceededError
+def test_exit_code_internal_past_the_degree_bound(monkeypatch, capsys):
+    """Colengths that never vanish at q = 2 (the primarity search at q = 1
+    reads the true ones) pass the bound q*m0 + nvars*(q-1) = 4 of a primary
+    ideal: one `internal error:` line and exit 4."""
+    from hilbertkunz import engine
 
-    def blow_up(args):
-        raise CapExceededError("degree cap hit")
+    runs = engine.runs
 
-    monkeypatch.setattr(cli, "cmd_compute", blow_up)
-    code, _, err = run_cli(["compute", "--p", "2", "--gens", "x;y", "--q", "2"], capsys)
-    assert code == 2
-    assert "cap exceeded" in err
+    def never_vanishing(ring, gens, q, top, s):
+        if q == 1:
+            yield from runs(ring, gens, q, top, s)
+        else:
+            yield 0, top + 1, 1, 0
+
+    monkeypatch.setattr(engine, "runs", never_vanishing)
+    code, out, err = run_cli(["compute", "--p", "2", "--gens", "x;y", "--q", "2"], capsys)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: no vanishing degree up to 4 for q=2 on a primary ideal\n"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--degrees-out"])
+def test_unwritable_output_is_a_user_error(tmp_path, capsys, flag):
+    """An output path in a missing directory gives one `error:` line and exit 1."""
+    path = str(tmp_path / "missing" / "table.csv")
+    code, _, err = run_cli(["compute", "--p", "2", "--gens", "x;y", "--q", "2", flag, path], capsys)
+    assert code == cli.EXIT_USER
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert len(err.splitlines()) == 1
 
 
 LOWERED_TWIST = textwrap.dedent("""

@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 from hilbertkunz import engine
-from hilbertkunz.errors import CapExceededError, InternalError, NotPrimaryError, UserError
+from hilbertkunz.errors import InternalError, NotPrimaryError, UserError
 from hilbertkunz.field import PrimeField, validate_prime_power
 from hilbertkunz.p1 import splitting_type, verify_h0_profile
 from hilbertkunz.poly import Poly, parse_poly
@@ -189,8 +189,9 @@ def test_tail_vanishes_at_pair_degree_bound():
 
 
 def test_hard_cap_raises(monkeypatch):
-    """A stream whose colength never vanishes stops at the derived cap
-    q*m0 + nvars*(q-1) + sum(d_i) and raises."""
+    """A stream whose colength never vanishes stops at the derived bound
+    q*m0 + nvars*(q-1), where a primary ideal vanishes, and raises
+    InternalError: only a bug gets there."""
     ideal = free_ideal(2, ("x", "y"))
     seen = []
 
@@ -200,24 +201,25 @@ def test_hard_cap_raises(monkeypatch):
             yield m, 1, 1, 0
 
     monkeypatch.setattr(engine, "runs", never_vanishing)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(InternalError, match="no vanishing degree up to 46 for q=16"):
         engine.hk_value(ideal, 16)
-    assert seen[-1] == 16 * ideal.primarity_degree + 2 * 15 + 2
+    assert seen[-1] == 16 * ideal.primarity_degree + 2 * 15
 
 
 def _hk_reference(runs, z):
-    """(phi, cutoff, per_degree) by the degree-by-degree loop over the expanded runs."""
+    """(phi, cutoff, per_degree) by the degree-by-degree loop over the expanded
+    runs: the sum ends at the first zero colength, and z zeros follow it."""
     per_degree = {}
-    phi = zeros_run = 0
+    phi = 0
     for m, n, c0, dc in runs:
         for k in range(n):
             c = c0 + k * dc
+            if c == 0:
+                per_degree.update(dict.fromkeys(range(m + k, m + k + z), 0))
+                return phi, m + k, per_degree
             per_degree[m + k] = c
             phi += c
-            zeros_run = zeros_run + 1 if c == 0 else 0
-            if zeros_run >= z:
-                return phi, m + k - zeros_run + 1, per_degree
-    raise AssertionError("no vanishing run")
+    raise AssertionError("no vanishing degree")
 
 
 def _colength_runs(*spans):
@@ -228,26 +230,27 @@ def _colength_runs(*spans):
         m += n
 
 
-# generators whose degrees sum to z, the zero run hk_value stops at
+# generators whose degrees sum to z, the number of zeros per_degree ends with
 Z_GENS = {1: ("1", "x"), 2: ("x", "y"), 3: ("x", "y^2"), 4: ("x", "y^3"), 5: ("x^2", "y^3")}
 
 
 @pytest.mark.parametrize("z,spans", [
-    # a zero run shorter than z continues into the next run, after a fall to 0
+    # a falling run stops on its last degree, at 0, before a run of zeros
     (4, [(4, 3, -1), (2, 0, 0), (5, 0, 0), (3, 9, 1)]),
-    # the zeros are broken by a run rising from 0, then a length-1 zero and a fall
+    # a zero in degree 0 stops at once: the nonzero colengths after it are never read
     (5, [(2, 0, 0), (3, 0, 2), (4, 4, -1), (1, 0, 7), (2, 5, -2), (10, 0, 0)]),
     # z = 1: a falling run that ends at 0 stops on its last degree
     (1, [(3, 2, -1), (5, 7, 1)]),
     # z = 1: a run rising from 0 stops on its first degree
     (1, [(2, 1, 0), (4, 0, 3), (2, 0, 0)]),
-    # zeros before a rising run complete the run of z on its first degree
+    # a run of length 2 falling to 0 stops on its last degree
     (3, [(2, 6, -6), (1, 0, 0), (3, 0, 2), (2, 4, 0)]),
-    # runs of length 1 only
+    # runs of length 1 only: the zero in degree 1 stops, the 3 and 8 after it are never read
     (2, [(1, 5, -9), (1, 0, 4), (1, 3, 0), (1, 0, 0), (1, 0, 6), (1, 8, 0)]),
 ])
 def test_hk_value_sums_runs_as_the_degree_loop(monkeypatch, z, spans):
-    """phi, cutoff and per_degree from the runs equal the degree-by-degree loop."""
+    """phi, cutoff and per_degree from the runs equal the degree-by-degree loop,
+    which stops at the first zero colength and appends z zeros."""
     ideal = free_ideal(2, Z_GENS[z])
     monkeypatch.setattr(engine, "runs", lambda ring, gens, q, top, s: _colength_runs(*spans))
     row = engine.hk_value(ideal, 1)
@@ -256,8 +259,8 @@ def test_hk_value_sums_runs_as_the_degree_loop(monkeypatch, z, spans):
 
 def test_hard_cap_holds_on_high_degree_curve():
     """(x,y,z) on x^41+y^41+z^41 over F_2 at q = 32 is primary; the derived
-    cap q*m0 + nvars*(q-1) + zeros must not be reached (a cap from the
-    generator degrees alone stopped at degree 83)."""
+    bound q*m0 + nvars*(q-1) must not be reached (a cap from the generator
+    degrees alone stopped at degree 83)."""
     F = PrimeField(2)
     names = ("x", "y", "z")
     R = GradedRing(F, names, relation=parse_poly("x^41+y^41+z^41", names, F))
@@ -332,6 +335,24 @@ def test_curves_through_every_fp_point_take_the_per_degree_route(monkeypatch):
     assert [engine.hk_value(ideal, q).phi for q in (1, 2, 4)] == [1, 8, 40]
     for q in (1, 2, 4):
         assert engine.split(R, ideal.gens, q) is None
+
+
+def test_per_degree_route_stops_at_the_cutoff(monkeypatch):
+    """On the per-degree route hk_value eliminates the degrees up to the
+    first vanishing one and no further: cutoff + 1 maps, and the zeros
+    after the cutoff in per_degree are not computed."""
+    names = ("x", "y", "z")
+    R = GradedRing(F2, names, relation=parse_poly("x^2*y+x*y^2", names, F2))
+    ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
+    piece = engine._degree_piece
+    calls = []
+    monkeypatch.setattr(engine, "_degree_piece", lambda *args: calls.append(args[-1]) or piece(*args))
+    for q, phi, cutoff in ((1, 1, 1), (2, 8, 4), (4, 40, 8), (8, 176, 16)):
+        calls.clear()
+        row = engine.hk_value(ideal, q)
+        assert (row.phi, row.cutoff) == (phi, cutoff)
+        assert calls == list(range(row.cutoff + 1))
+        assert sorted(row.per_degree) == list(range(row.cutoff + 3))
 
 
 def test_q_must_be_prime_power():

@@ -31,6 +31,10 @@ p = 32749 and 2^31 - 1 make the products' slots wider than the kernel's.
 phi(q) = (sum_(l<h) l^2 - sum s^2 + sum e_j^2) / 2 over the degrees that
 ``split`` gives, against the runs that ``hk_value`` sums, for p <= 7 and
 q <= p^2 on F_p[x,y] and on cones of degree 1..6.
+
+``test_both_walks_stop_at_the_first_vanishing_degree`` checks on the same
+draws that ``hk_value`` and the primarity search end at the first degree
+whose colength is 0, and how ``per_degree`` pads that with zeros.
 """
 
 from itertools import product
@@ -181,6 +185,24 @@ def test_phi_from_the_split_degrees(p, q, data):
     assume(s is not None and len(s.twists) == (ideal.n - 1) * len(s.targets))
     squares = [sum(a * a for a in degrees) for degrees in s]
     assert squares[0] - squares[1] + squares[2] == 2 * engine.hk_value(ideal, q).phi
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_both_walks_stop_at_the_first_vanishing_degree(p, data):
+    """The primarity search and hk_value at q = 1 stop at the same degree,
+    and at q = 1 and q = p per_degree is the positive colengths below the
+    cutoff, then z = sum(d_i) zeros, summing to phi."""
+    ideal = data.draw(st.one_of(binary_ideals(p), cone_ideals(p, lowest=1)))
+    z = max(1, sum(ideal.degrees))
+    assert engine.hk_value(ideal, 1).cutoff == ideal.primarity_degree
+    for q in (1, p):
+        row = engine.hk_value(ideal, q)
+        assert sorted(row.per_degree) == list(range(row.cutoff + z))
+        assert all(row.per_degree[m] > 0 for m in range(row.cutoff))
+        assert all(row.per_degree[m] == 0 for m in range(row.cutoff, row.cutoff + z))
+        assert sum(row.per_degree.values()) == row.phi
 
 
 CONES = (
