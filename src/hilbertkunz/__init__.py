@@ -25,7 +25,6 @@ from .reconstruct import (
     default_denominator_bound,
     estimate_ehk,
     nu2_from_ehk,
-    rational_round,
 )
 from .ring import GradedRing, IdealSpec
 from .slopes import (
@@ -69,7 +68,6 @@ __all__ = [
     "hn_from_splittings",
     "nu2_from_ehk",
     "parse_poly",
-    "rational_round",
     "splitting_type",
     "staircase_colength",
     "validate",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from fractions import Fraction
 from itertools import product
 
@@ -131,19 +132,20 @@ def _echo_config(config: dict, out) -> None:
         print(f"# {key} = {config[key]}", file=out)
 
 
-def _write_csv(path: str | None, config: dict, lines) -> None:
-    """The echoed config, then lines: to the file at path, or to stdout."""
-    try:
-        out = open(path, "w", encoding="utf-8") if path else sys.stdout
-    except OSError as exc:
-        raise UserError(f"cannot write {path}: {exc}")
-    try:
-        _echo_config(config, out)
-        for line in lines:
-            print(line, file=out)
-    finally:
-        if path:
-            out.close()
+def _write_csvs(config: dict, tables) -> None:
+    """Each (path, lines) table, the echoed config first, to the file at path or to stdout.
+
+    Every file is opened before anything is written, so an unwritable path leaves no table."""
+    with ExitStack() as stack:
+        try:
+            outs = [stack.enter_context(open(path, "w", encoding="utf-8")) if path else sys.stdout
+                    for path, _ in tables]
+        except OSError as exc:
+            raise UserError(f"cannot write {exc.filename}: {exc}")
+        for out, (_, lines) in zip(outs, tables):
+            _echo_config(config, out)
+            for line in lines:
+                print(line, file=out)
 
 
 # -- subcommands -------------------------------------------------------
@@ -193,10 +195,11 @@ def cmd_compute(args) -> int:
         print(f"smoothness advisory: {note}", file=sys.stderr)
     qs = _q_list(config, ideal.field.p)
     rows = [engine.hk_value(ideal, q) for q in qs]
-    _write_csv(args.out, config, ["q,phi"] + [f"{row.q},{row.phi}" for row in rows])
+    tables = [(args.out, ["q,phi"] + [f"{row.q},{row.phi}" for row in rows])]
     if args.degrees_out:
-        _write_csv(args.degrees_out, config, ["q,m,colength"] + [
-            f"{row.q},{m},{c}" for row in rows for m, c in sorted(row.per_degree.items())])
+        tables.append((args.degrees_out, ["q,m,colength"] + [
+            f"{row.q},{m},{c}" for row in rows for m, c in sorted(row.per_degree.items())]))
+    _write_csvs(config, tables)
     return EXIT_OK
 
 
@@ -344,6 +347,7 @@ def cmd_verify_corpus(args) -> int:
     failures = 0
     for r in results:
         print(r.line())
+        print(f"criterion {r.number} took {r.seconds:.1f}s", file=sys.stderr)
         if not r.ok:
             failures += 1
     if failures:

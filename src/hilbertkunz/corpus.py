@@ -39,7 +39,7 @@ class CriterionResult:
 
     def line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
-        return f"criterion {self.number} [{verdict}] {self.name}: {self.detail} ({self.seconds:.1f}s)"
+        return f"criterion {self.number} [{verdict}] {self.name}: {self.detail}"
 
 
 def _timed(number, name, fn) -> CriterionResult:

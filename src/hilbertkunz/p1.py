@@ -142,6 +142,8 @@ def analyze_ideal(ideal: IdealSpec, *, max_exponent: int = 3) -> SplittingReport
     largest.
     """
     _require_p1(ideal)
+    if max_exponent < 1:
+        raise UserError(f"max_exponent must be at least 1, got {max_exponent}")
     p = ideal.field.p
     rows = [engine.hk_value(ideal, p)]
     splittings = [SplittingType(q=p, twists=rows[0].twists)]

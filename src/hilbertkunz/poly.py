@@ -53,10 +53,6 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, field, nvars):
-        return cls(field, nvars, {})
-
-    @classmethod
     def constant(cls, field, nvars, c):
         return cls(field, nvars, {(0,) * nvars: c})
 
@@ -174,9 +170,6 @@ class Poly:
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.field.p, self.nvars, frozenset(self.terms.items())))
 
     # -- printing -----------------------------------------------------
 

@@ -24,22 +24,6 @@ def default_denominator_bound(n: int, degY: int, p: int, e_cap: int) -> int:
     return 2 * factorial(n - 1) * degY * p**e_cap
 
 
-def rational_round(x: Fraction, bound: int, window: Fraction):
-    """Best bounded-denominator approximation of x, or None outside the window.
-
-    Returns the unique closest fraction with denominator <= bound
-    (continued-fraction best approximation); None when even that
-    candidate misses [x - window, x + window].
-    """
-    if bound < 1:
-        raise UserError("denominator bound must be positive")
-    x = Fraction(x)
-    candidate = x.limit_denominator(bound)
-    if abs(candidate - x) <= window:
-        return candidate
-    return None
-
-
 class AmbiguousReconstruction(Exception):
     """No fraction with bounded denominator lies inside the window."""
 
@@ -86,8 +70,10 @@ def estimate_ehk(table, bound: int, *, window=None, window_constant=None):
             raise UserError("need window or window_constant")
         window = Fraction(window_constant, q1)
     window = Fraction(window)
-    value = rational_round(raw, bound, window)
-    if value is None:
+    if bound < 1:
+        raise UserError("denominator bound must be positive")
+    value = raw.limit_denominator(bound)  # the closest fraction with denominator <= bound
+    if abs(value - raw) > window:
         candidates = sorted(
             {raw.limit_denominator(b) for b in (bound, max(1, bound // 2), 1)},
             key=lambda c: abs(c - raw),

@@ -130,17 +130,11 @@ class GradedRing:
                     del out[ne]
         return out
 
-    def normal_form(self, f: Poly) -> Poly:
-        """Representative of f with no term divisible by LT(H)."""
-        if self.relation is None:
-            raise UserError("normal_form requires a hypersurface ring")
+    def reduce(self, f: Poly) -> Poly:
+        """The normal form of f: f itself on a free ring, no term divisible by LT(H) on a cone."""
         if f.nvars != self.nvars or f.field.p != self.field.p:
             raise UserError("polynomial lives in a different ring")
-        return Poly(self.field, self.nvars, self.reduce_terms(f.terms))
-
-    def reduce(self, f: Poly) -> Poly:
-        """normal_form on hypersurface rings, identity on free rings."""
-        return f if self.relation is None else self.normal_form(f)
+        return f if self.relation is None else Poly(self.field, self.nvars, self.reduce_terms(f.terms))
 
     def parse(self, text: str) -> Poly:
         return self.reduce(parse_poly(text, self.vars, self.field))

@@ -36,9 +36,6 @@ class MonomialIdeal2(Frozen):
         """(x,y)-primary: contains a pure power of x and of y."""
         return any(b == 0 for _, b in self.gens) and any(a == 0 for a, _ in self.gens)
 
-    def scaled(self, q: int) -> "MonomialIdeal2":
-        return MonomialIdeal2.from_pairs((q * a, q * b) for a, b in self.gens)
-
 
 def staircase_colength(ideal: MonomialIdeal2, q: int) -> int:
     """Number of monomials outside the q-scaled ideal, counted row by row."""

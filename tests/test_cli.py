@@ -243,12 +243,63 @@ def test_exit_code_internal_past_the_degree_bound(monkeypatch, capsys):
 
 @pytest.mark.parametrize("flag", ["--out", "--degrees-out"])
 def test_unwritable_output_is_a_user_error(tmp_path, capsys, flag):
-    """An output path in a missing directory gives one `error:` line and exit 1."""
+    """An output path in a missing directory gives one `error:` line, exit 1
+    and no table on stdout: every destination is opened before any is written."""
     path = str(tmp_path / "missing" / "table.csv")
-    code, _, err = run_cli(["compute", "--p", "2", "--gens", "x;y", "--q", "2", flag, path], capsys)
-    assert code == cli.EXIT_USER
+    code, out, err = run_cli(["compute", "--p", "2", "--gens", "x;y", "--q", "2", flag, path],
+                             capsys)
+    assert (code, out) == (cli.EXIT_USER, "")
     assert err.startswith(f"error: cannot write {path}: ")
     assert len(err.splitlines()) == 1
+
+
+def test_unwritable_degrees_out_leaves_no_summary_table(tmp_path, capsys):
+    summary = tmp_path / "phi.csv"
+    path = str(tmp_path / "missing" / "d.csv")
+    code, out, err = run_cli(["compute", "--p", "2", "--gens", "x;y", "--q", "2",
+                              "--out", str(summary), "--degrees-out", path], capsys)
+    assert (code, out) == (cli.EXIT_USER, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert not summary.exists() or summary.read_text() == ""
+
+
+def test_verify_corpus_report_is_deterministic(capsys):
+    """Eight PASS lines and the verdict on stdout, the same on every run; the
+    timings go to stderr."""
+    code, out, err = run_cli(["verify-corpus"], capsys)
+    assert code == cli.EXIT_OK
+    lines = out.splitlines()
+    assert [line.split(" [")[0] for line in lines[:8]] == [f"criterion {n}" for n in range(1, 9)]
+    assert all("[PASS]" in line for line in lines[:8])
+    assert lines[8:] == ["all criteria passed"]
+    assert [line.split(" took ")[0] for line in err.splitlines()] == [
+        f"criterion {n}" for n in range(1, 9)]
+    assert run_cli(["verify-corpus"], capsys)[:2] == (cli.EXIT_OK, out)
+
+
+@pytest.mark.parametrize("exponent", ["0", "-3"])
+def test_splitting_needs_a_positive_max_exponent(capsys, exponent):
+    code, out, err = run_cli(
+        ["splitting", "--p", "5", "--gens", "x^3; x*y^2; y^3", "--max-exponent", exponent], capsys)
+    assert code == cli.EXIT_USER
+    assert out == ""
+    assert err == f"error: max_exponent must be at least 1, got {exponent}\n"
+
+
+def test_splitting_report_when_not_stabilized(capsys):
+    """With one Frobenius exponent there is no pair of splitting types to compare."""
+    code, out, err = run_cli(
+        ["splitting", "--p", "5", "--gens", "x^3; x*y^2; y^3", "--max-exponent", "1"], capsys)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == textwrap.dedent("""\
+        # gens = x^3; x*y^2; y^3
+        # p = 5
+        ring = F_5[x,y]
+        gens = x^3; x*y^2; y^3
+        twists[q=5] = 20,25
+        stabilized = no
+        note = raise --max-exponent to push more Frobenius pullbacks
+    """)
 
 
 LOWERED_TWIST = textwrap.dedent("""

@@ -614,3 +614,31 @@ def test_kernel_loop_raises_instead_of_hanging():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.stdout.strip() == "InternalError", proc.stderr
+
+
+@pytest.mark.parametrize("relation,gen_texts,lead", [
+    ("x^3+y^3+z^3", ("x", "y", "z"), "0, 6 -> 0, 6"),
+    (None, ("x^2", "x*y", "y^3"), "0, 4 -> 0, 4"),
+], ids=["fermat_cone", "free"])
+def test_kernel_loop_checks_that_each_step_lowers_the_lead(monkeypatch, relation, gen_texts, lead):
+    """In process, with ``_strip`` the identity: over F_2 at q = 4 a step
+    leaves the lead (position, degree) where it was, and the check after
+    each simple transformation raises, on a cone and on F_2[x,y]."""
+    names = ("x", "y", "z") if relation else ("x", "y")
+    R = GradedRing(F2, names, relation=relation and parse_poly(relation, names, F2))
+    gens = [R.parse(t) for t in gen_texts]
+    monkeypatch.setattr(engine, "_strip", lambda x, p, w: x)
+    with pytest.raises(InternalError, match=f"^lead \\(position, degree\\) {lead}$"):
+        engine.split(R, gens, 4)
+
+
+def test_non_primary_ideal_on_the_per_degree_route():
+    """(x, y) on x^2*y + x*y^2 over F_2, a curve through every F_p-point:
+    R/(x, y) = F_2[z] never vanishes, and the primarity search reaches its
+    bound 3*(3-1)+1 = 7 one degree at a time."""
+    names = ("x", "y", "z")
+    R = GradedRing(F2, names, relation=parse_poly("x^2*y+x*y^2", names, F2))
+    gens = (R.parse("x"), R.parse("y"))
+    assert engine.split(R, gens, 1) is None
+    with pytest.raises(NotPrimaryError, match="^no vanishing graded piece up to degree 7; "):
+        IdealSpec(R, gens)

@@ -10,17 +10,19 @@ from hilbertkunz.reconstruct import (
     default_denominator_bound,
     estimate_ehk,
     nu2_from_ehk,
-    rational_round,
 )
 from hilbertkunz.slopes import ehk_plane_curve
 
 
-def test_rational_round_examples():
-    assert rational_round(Fraction(2999, 1000), 10, Fraction(1, 100)) == 3
-    assert rational_round(Fraction(7499, 10000), 8, Fraction(1, 100)) == Fraction(3, 4)
-    assert rational_round(Fraction(1, 2), 1, Fraction(1, 10)) is None
-    with pytest.raises(UserError):
-        rational_round(Fraction(1, 2), 0, Fraction(1))
+def test_rounding_examples():
+    """Raw quotients 3068/1023, 767/1023 and 4/8 are rounded to the closest bounded fraction."""
+    near = Fraction(1, 100)
+    assert estimate_ehk([(1, 0), (32, 3068)], 10, window=near)[0] == 3
+    assert estimate_ehk([(1, 0), (32, 767)], 8, window=near)[0] == Fraction(3, 4)
+    with pytest.raises(AmbiguousReconstruction):  # no fraction of denominator 1 within 1/10 of 1/2
+        estimate_ehk([(1, 0), (3, 4)], 1, window=Fraction(1, 10))
+    with pytest.raises(UserError, match="denominator bound must be positive"):
+        estimate_ehk([(1, 0), (3, 4)], 0, window=Fraction(1))
 
 
 def test_default_denominator_bound():

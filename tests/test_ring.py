@@ -26,8 +26,8 @@ def test_free_ring_basics():
     assert [R.hilbert_dim(m) for m in range(5)] == [1, 2, 3, 4, 5]
     f = R.parse("x^2+y^2")
     assert R.reduce(f) == f  # identity on the free ring
-    with pytest.raises(UserError):
-        R.normal_form(f)
+    with pytest.raises(UserError, match="polynomial lives in a different ring"):
+        R.reduce(parse_poly("x^2+z^2", XYZ, F5))
 
 
 def test_hypersurface_hilbert_function():
@@ -61,7 +61,7 @@ def test_normal_form_idempotent_linear_multiplicative():
             return Poly(F5, 3, terms)
 
         f, g = rand_poly(), rand_poly()
-        nf = R.normal_form
+        nf = R.reduce
         assert nf(nf(f)) == nf(f)
         assert nf(f + g) == nf(nf(f) + nf(g))
         assert nf(f * g) == nf(nf(f) * nf(g))
@@ -71,7 +71,7 @@ def test_normal_form_kills_relation_multiples():
     R = fermat_ring()
     h = R.relation
     f = R.parse("x*y + z^2")
-    assert R.normal_form(h * f).is_zero()
+    assert R.reduce(h * f).is_zero()
 
 
 def test_basis_excludes_leading_monomial_multiples():
@@ -118,6 +118,18 @@ def test_ideal_spec_validation():
         IdealSpec(R, (R.parse("x + x^2"), R.parse("y")))  # inhomogeneous
     with pytest.raises(UserError):
         IdealSpec(R, (R.parse("0"), R.parse("y")))  # zero generator
+
+
+@pytest.mark.parametrize("other_names", [("x", "y"), XYZ], ids=["cone", "free"])
+def test_ideal_spec_rejects_generators_from_another_ring(other_names):
+    """reduce, on both ring kinds, refuses a polynomial in another number of
+    variables or over another prime field."""
+    R = GradedRing(F5, ("x", "y")) if other_names == XYZ else fermat_ring()
+    foreign = [tuple(parse_poly(v, other_names, F5) for v in ("x", other_names[-1])),
+               (R.parse("x"), parse_poly("x^2 - y^2", R.vars, PrimeField(7)))]
+    for gens in foreign:
+        with pytest.raises(UserError, match="polynomial lives in a different ring"):
+            IdealSpec(R, gens)
 
 
 @pytest.mark.parametrize("names", [("x",), ("x", "y", "z")])
@@ -168,7 +180,7 @@ def test_relation_normalized_monic():
     R1 = GradedRing(F, XYZ, relation=parse_poly("2x^3+2y^3+2z^3", XYZ, F))
     R2 = fermat_ring()
     f = parse_poly("x^5 + y^4*z", XYZ, F)
-    assert R1.normal_form(f) == R2.normal_form(f)
+    assert R1.reduce(f) == R2.reduce(f)
 
 
 def test_bad_relations_rejected():

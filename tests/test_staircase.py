@@ -66,7 +66,8 @@ def test_scaling_identity():
         pairs.discard((0, 0))
         ideal = MonomialIdeal2.from_pairs(pairs)
         for q in (1, 2, 3):
-            assert staircase_colength(ideal, q) == staircase_colength(ideal.scaled(q), 1)
+            assert staircase_colength(ideal, q) == staircase_colength(
+                MonomialIdeal2.from_pairs((q * a, q * b) for a, b in ideal.gens), 1)
 
 
 def test_against_rectangle_scan():
