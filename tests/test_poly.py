@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilbertkunz.errors import ParseError, UserError
 from hilbertkunz.field import PrimeField
@@ -47,6 +48,73 @@ def test_parse_errors_carry_position():
         parse_poly("(x + y", XY, F5)
     with pytest.raises(UserError):
         parse_poly("x", ("x", "x"), F5)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("x + @", "unexpected character '@'", 4),
+    ("(x + y", "expected ), got None", 6),
+    ("x^2^3", "trailing input '^'", 3),
+    ("x^99999999", "exponent 99999999 exceeds cap 16777216", 2),
+    ("x*-y", "unexpected token '-'", 2),
+])
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, XY, F5)
+    assert info.value.position == position
+    assert str(info.value) == f"{message} (at position {position})"
+
+
+@st.composite
+def _grammar_strings(draw, depth=2):
+    """A string drawn from the grammar over (x, y), and the Poly that the
+    same sums, products and powers build directly."""
+
+    def atom(d):
+        kind = draw(st.sampled_from(("int", "var", "paren") if d else ("int", "var")))
+        if kind == "int":
+            n = draw(st.integers(0, 12))
+            return str(n), Poly.constant(F5, 2, n)
+        if kind == "var":
+            i = draw(st.integers(0, 1))
+            return XY[i], Poly.variable(F5, 2, i)
+        text, poly = expr(d - 1)
+        return f"({text})", poly
+
+    def factor(d):
+        text, poly = atom(d)
+        if draw(st.booleans()):
+            k = draw(st.integers(0, 3))
+            return f"{text}^{k}", poly**k
+        return text, poly
+
+    def term(d):
+        text, poly = factor(d)
+        for _ in range(draw(st.integers(0, 2))):
+            rhs, f = factor(d)
+            sep = draw(st.sampled_from(("*", " * ", " ", "")))
+            if not sep and text[-1].isdigit() and rhs[0].isdigit():
+                sep = " "  # "2" "3" run together would read as the integer 23
+            text, poly = text + sep + rhs, poly * f
+        return text, poly
+
+    def expr(d):
+        sign = draw(st.sampled_from(("", "-", "+", "- ")))
+        text, poly = term(d)
+        text, poly = sign + text, (-poly if "-" in sign else poly)
+        for _ in range(draw(st.integers(0, 2))):
+            op = draw(st.sampled_from(("+", "-", " + ", " - ")))
+            rhs, t = term(d)
+            text, poly = text + op + rhs, (poly - t if "-" in op else poly + t)
+        return text, poly
+
+    return expr(depth)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_grammar_strings())
+def test_parse_matches_the_arithmetic_it_spells(case):
+    text, poly = case
+    assert parse_poly(text, XY, F5) == poly
 
 
 def test_round_trip_canonical_string():
