@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 user error, 3 corpus failure, 4 internal error
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import ExitStack
 from fractions import Fraction
@@ -73,7 +74,7 @@ def read_config(path: str) -> dict:
                     raise UserError(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
                 key, _, value = line.partition("=")
                 config[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UserError(f"cannot read config {path}: {exc}")
     return config
 
@@ -135,13 +136,17 @@ def _echo_config(config: dict, out) -> None:
 def _write_csvs(config: dict, tables) -> None:
     """Each (path, lines) table, the echoed config first, to the file at path or to stdout.
 
-    Every file is opened before anything is written, so an unwritable path leaves no table."""
+    Every file is opened, in append mode, before any is emptied or written, so an unwritable
+    path leaves no table and every existing file as it was."""
     with ExitStack() as stack:
         try:
-            outs = [stack.enter_context(open(path, "w", encoding="utf-8")) if path else sys.stdout
+            outs = [stack.enter_context(open(path, "a", encoding="utf-8")) if path else sys.stdout
                     for path, _ in tables]
         except OSError as exc:
             raise UserError(f"cannot write {exc.filename}: {exc}")
+        for out, (path, _) in zip(outs, tables):
+            if path and os.path.isfile(path):  # as mode "w" would; not a pipe or /dev/null
+                out.truncate(0)
         for out, (_, lines) in zip(outs, tables):
             _echo_config(config, out)
             for line in lines:
@@ -292,7 +297,7 @@ def _read_phi_csv(path: str) -> tuple:
                 if len(parts) != 2:
                     raise UserError(f"{path}: expected 'q,phi' rows, got {line!r}")
                 rows.append((int(parts[0]), int(parts[1])))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UserError(f"cannot read table {path}: {exc}")
     except ValueError as exc:
         raise UserError(f"{path}: non-integer table entry ({exc})")

@@ -3,7 +3,7 @@
 Monomials are exponent tuples ordered by graded reverse lexicographic
 order with the user-declared variable sequence.  The text grammar is::
 
-    expr     ::= ["-"] term { ("+" | "-") term }
+    expr     ::= ["+" | "-"] term { ("+" | "-") term }
     term     ::= factor { ["*"] factor }          (implicit products allowed)
     factor   ::= atom [ "^" integer ]
     atom     ::= integer | variable | "(" expr ")"
@@ -200,128 +200,102 @@ class Poly:
 # -- parser -----------------------------------------------------------
 
 
-class _Tokenizer:
-    def __init__(self, text: str, varnames):
-        self.text = text
-        self.pos = 0
-        # longest-match-first so that declared names like "xy" win over "x","y"
-        self.varnames = sorted(varnames, key=len, reverse=True)
-        self.tokens = []
-        self._scan()
-
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("INT", int(text[i:j]), i))
-                i = j
-                continue
-            if ch in "+-*^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            for name in self.varnames:
+def _tokens(text: str, varnames) -> list:
+    """(kind, value, position) triples, closed by ("END", None, len(text))."""
+    # longest-match-first so that declared names like "xy" win over "x","y"
+    names = sorted(varnames, key=len, reverse=True)
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdecimal():  # what int() reads: "²" is a digit but no integer
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            try:
+                tokens.append(("INT", int(text[i:j]), i))
+            except ValueError:  # longer than the interpreter converts
+                raise ParseError(f"integer of {j - i} digits is too long", i) from None
+            i = j
+        elif ch in "+-*^()":
+            tokens.append((ch, ch, i))
+            i += 1
+        else:
+            for name in names:
                 if text.startswith(name, i):
-                    self.tokens.append(("VAR", name, i))
+                    tokens.append(("VAR", name, i))
                     i += len(name)
                     break
             else:
                 raise ParseError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("END", None, len(text)))
-
-
-class _Parser:
-    def __init__(self, text, varnames, field: PrimeField):
-        self.toks = _Tokenizer(text, varnames).tokens
-        self.idx = 0
-        self.field = field
-        self.varnames = list(varnames)
-        self.nvars = len(self.varnames)
-
-    def peek(self):
-        return self.toks[self.idx]
-
-    def next(self):
-        tok = self.toks[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, got {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self) -> Poly:
-        p = self.expr()
-        tok = self.peek()
-        if tok[0] != "END":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return p
-
-    def expr(self) -> Poly:
-        negate = False
-        if self.peek()[0] == "-":
-            self.next()
-            negate = True
-        elif self.peek()[0] == "+":
-            self.next()
-        result = self.term()
-        if negate:
-            result = -result
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            result = result - rhs if op == "-" else result + rhs
-        return result
-
-    def term(self) -> Poly:
-        result = self.factor()
-        while True:
-            kind = self.peek()[0]
-            if kind == "*":
-                self.next()
-                result = result * self.factor()
-            elif kind in ("INT", "VAR", "("):  # implicit multiplication
-                result = result * self.factor()
-            else:
-                return result
-
-    def factor(self) -> Poly:
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.next()
-            tok = self.expect("INT")
-            k = tok[1]
-            if k > MAX_EXPONENT:
-                raise ParseError(f"exponent {k} exceeds cap {MAX_EXPONENT}", tok[2])
-            base = base**k
-        return base
-
-    def atom(self) -> Poly:
-        tok = self.next()
-        kind, value, pos = tok
-        if kind == "INT":
-            return Poly.constant(self.field, self.nvars, value)
-        if kind == "VAR":
-            return Poly.variable(self.field, self.nvars, self.varnames.index(value))
-        if kind == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        raise ParseError(f"unexpected token {value!r}", pos)
+    tokens.append(("END", None, len(text)))
+    return tokens
 
 
 def parse_poly(text: str, varnames, field: PrimeField) -> Poly:
-    """Parse a polynomial over the given variables and field."""
-    if len(set(varnames)) != len(list(varnames)):
+    """Parse a polynomial over the given variables and field; malformed text raises ParseError."""
+    varnames = list(varnames)
+    if len(set(varnames)) != len(varnames):
         raise UserError("duplicate variable names")
-    return _Parser(text, varnames, field).parse()
+    toks = _tokens(text, varnames)
+    idx = 0
+
+    def take(kind=None):
+        nonlocal idx
+        tok = toks[idx]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind}, got {tok[1]!r}", tok[2])
+        idx += 1
+        return tok
+
+    def expr() -> Poly:
+        sign = toks[idx][0]
+        if sign in ("+", "-"):
+            take()
+        result = -term() if sign == "-" else term()
+        while toks[idx][0] in ("+", "-"):
+            op = take()[0]
+            rhs = term()
+            result = result - rhs if op == "-" else result + rhs
+        return result
+
+    def term() -> Poly:
+        result = factor()
+        while toks[idx][0] in ("*", "INT", "VAR", "("):  # implicit products too
+            if toks[idx][0] == "*":
+                take()
+            result = result * factor()
+        return result
+
+    def factor() -> Poly:
+        base = atom()
+        if toks[idx][0] == "^":
+            take()
+            _, k, pos = take("INT")
+            if k > MAX_EXPONENT:
+                raise ParseError(f"exponent {k} exceeds cap {MAX_EXPONENT}", pos)
+            base = base**k
+        return base
+
+    def atom() -> Poly:
+        kind, value, pos = take()
+        if kind == "INT":
+            return Poly.constant(field, len(varnames), value)
+        if kind == "VAR":
+            return Poly.variable(field, len(varnames), varnames.index(value))
+        if kind == "(":
+            inner = expr()
+            take(")")
+            return inner
+        raise ParseError(f"unexpected token {value!r}", pos)
+
+    try:
+        result = expr()
+    except RecursionError:  # each "(" costs four frames of the interpreter's stack
+        raise ParseError("parentheses nested too deeply") from None
+    kind, value, pos = toks[idx]
+    if kind != "END":
+        raise ParseError(f"trailing input {value!r}", pos)
+    return result

@@ -263,6 +263,55 @@ def test_unwritable_degrees_out_leaves_no_summary_table(tmp_path, capsys):
     assert not summary.exists() or summary.read_text() == ""
 
 
+
+def test_failed_run_keeps_an_existing_output_file(tmp_path, capsys):
+    summary = tmp_path / "phi.csv"
+    summary.write_text("keep\n")
+    path = str(tmp_path / "missing" / "d.csv")
+    code, out, err = run_cli(["compute", "--p", "2", "--gens", "x;y", "--q", "2",
+                              "--out", str(summary), "--degrees-out", path], capsys)
+    assert (code, out) == (cli.EXIT_USER, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert summary.read_text() == "keep\n"
+
+
+def test_compute_replaces_a_longer_output_file(tmp_path, capsys):
+    summary = tmp_path / "phi.csv"
+    summary.write_text("old line\n" * 50)
+    argv = ["compute", "--p", "2", "--gens", "x;y", "--q", "2,4"]
+    code, table, _ = run_cli(argv, capsys)
+    assert run_cli(argv + ["--out", str(summary)], capsys) == (cli.EXIT_OK, "", "")
+    assert summary.read_text() == table
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_dev_stdout(capfd):
+    code = cli.main(["compute", "--p", "2", "--gens", "x;y", "--q", "2", "--out", "/dev/stdout"])
+    assert code == cli.EXIT_OK
+    assert capfd.readouterr().out == "# gens = x;y\n# p = 2\n# q = 2\nq,phi\n2,4\n"
+
+
+@pytest.mark.parametrize("gens", ["(" * 3000 + "x" + ")" * 3000 + ";y", "9" * 5000 + "*x;y"],
+                         ids=["deep-nesting", "long-integer"])
+def test_malformed_generator_is_one_parse_error_line(capsys, gens):
+    """Nesting past the interpreter's stack, and an integer past its digit
+    limit, are parse errors like any other (exit 1), not tracebacks."""
+    code, out, err = run_cli(["compute", "--p", "5", "--gens", gens, "--q", "5"], capsys)
+    assert (code, out) == (cli.EXIT_USER, "")
+    assert err.startswith("parse error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, flag, kind", [("compute", "--config", "config"),
+                                                 ("reconstruct", "--table", "table")])
+def test_undecodable_input_file_is_a_user_error(tmp_path, capsys, command, flag, kind):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"p = 5\n\xff\n")
+    code, out, err = run_cli([command, flag, str(path)], capsys)
+    assert (code, out) == (cli.EXIT_USER, "")
+    assert err == (f"error: cannot read {kind} {path}: 'utf-8' codec can't decode byte 0xff "
+                   "in position 6: invalid start byte\n")
+
+
 def test_verify_corpus_report_is_deterministic(capsys):
     """Eight PASS lines and the verdict on stdout, the same on every run; the
     timings go to stderr."""

@@ -56,12 +56,22 @@ def test_parse_errors_carry_position():
     ("x^2^3", "trailing input '^'", 3),
     ("x^99999999", "exponent 99999999 exceeds cap 16777216", 2),
     ("x*-y", "unexpected token '-'", 2),
+    pytest.param("9" * 5000 + "*x", "integer of 5000 digits is too long", 0, id="long-coefficient"),
+    pytest.param("x^" + "9" * 5000, "integer of 5000 digits is too long", 2, id="long-exponent"),
+    ("x\u00b2", "unexpected character '\u00b2'", 1),  # a digit to str, but not to int()
 ])
 def test_parse_error_message_and_position(text, message, position):
     with pytest.raises(ParseError) as info:
         parse_poly(text, XY, F5)
     assert info.value.position == position
     assert str(info.value) == f"{message} (at position {position})"
+
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="^parentheses nested too deeply$"):
+        parse_poly("(" * 3000 + "x" + ")" * 3000, XY, F5)
+    assert parse_poly("(" * 100 + "x" + ")" * 100, XY, F5) == parse_poly("x", XY, F5)
 
 
 @st.composite
