@@ -250,13 +250,21 @@ def _kernel_twists(ring: GradedRing, rows) -> list:
 
     Each entry is one Python int with the coefficient of t^k in the w-bit
     slot k (``_slot_width``: the least of 16, 32, 64 with
-    4 p (p - 1) < 2^w), every slot below p on input, so a transformation
-    is a - c t^delta b = a + ((p - c) b << delta w) on every column.  Pivot
-    rows have every slot below p, so one transformation adds at most
-    (p - 1)^2 to a slot of the other row; its slots are reduced mod p
-    (``_reduce_slots``) after every room = (2^w - p) // (p - 1)^2 of them,
-    and when it is installed as a pivot.  No slot reaches 2^w, so none
-    carries into the next, and the result is exact for every p.  After
+    4 p (p - 1) < 2^w), so a transformation is
+    a - c t^delta b = a + ((p - c) b << delta w) on every column.  Each row
+    carries a bound that every one of its slots stays below: p on input,
+    and again once its slots are reduced mod p (``_reduce_slots``).  A
+    transformation from pivot j adds at most (p - 1)(bound_j - 1) to a slot
+    of the other row, whose bound grows by that much.  Where that would
+    reach 2^w, the row of the larger bound is reduced first, then the other
+    if the sum still reaches 2^w; with both reduced it is
+    p + (p - 1)^2 < 4 p (p - 1) < 2^w.  So no slot reaches 2^w, none
+    carries into the next, and the result is exact for every p.  A row
+    installed as a pivot is reduced only if its bound exceeds 2^(w/2): a
+    pivot with a small fill is carried as it is, and a larger one is
+    reduced, so the bounds of the rows it changes do not grow
+    geometrically.  Only the residues of slots are read (the top slot's
+    inverse, ``_strip``), so unreduced slots give the same steps.  After
     each transformation ``_strip`` drops a column's top slots that are
     0 mod p (there are some only where two leading terms met, and there
     the top slot is a nonzero multiple of p), so the top slot of a nonzero
@@ -272,12 +280,13 @@ def _kernel_twists(ring: GradedRing, rows) -> list:
     p = ring.field.p
     h = 1 if ring.relation is None else ring.relation.degree()
     w = _slot_width(p)
-    room = ((1 << w) - p) // (p - 1) ** 2
+    cap, settled = 1 << w, 1 << w // 2  # no slot reaches cap; a pivot above settled is reduced
     # target column l, without the constant, then identity column (g, k)
     shifts = list(range(h)) + [s for s, _ in rows]
     width = len(shifts)
     rows = [entries + [0] * r + [1] + [0] * (width - h - r - 1)
             for r, (_, entries) in enumerate(rows)]  # per row: one packed int per column
+    bound = [p] * len(rows)  # every slot of row i is below bound[i]
 
     def lead(row):
         """(position, shifted degree): the rightmost maximum, on the M part while it is nonzero."""
@@ -289,20 +298,27 @@ def _kernel_twists(ring: GradedRing, rows) -> list:
                     best, pos = sd, col
         return pos, best
 
-    def reduced(row):
-        return [_reduce_slots(x, p, w) for x in row]
+    def reduce(i):
+        rows[i] = [_reduce_slots(x, p, w) for x in rows[i]]
+        bound[i] = p
 
-    pivots = {}  # leading position -> (row, shifted degree); pivot rows are reduced
+    def install(pos, i, sd):
+        if bound[i] > settled:
+            reduce(i)
+        pivots[pos] = (i, sd)
+
+    pivots = {}  # leading position -> (row, shifted degree)
     for i in range(len(rows)):
         pos, sd = lead(rows[i])
-        fill = 0  # transformations row i took since its slots were last reduced
         while pos in pivots:
             j, sd_j = pivots[pos]
             if sd < sd_j:
-                if fill:
-                    rows[i] = reduced(rows[i])
-                pivots[pos] = (i, sd)
-                i, j, sd, fill = j, i, sd_j, 0
+                install(pos, i, sd)
+                i, j, sd = j, i, sd_j
+            if bound[i] + (p - 1) * (bound[j] - 1) >= cap:  # reduce the fuller row, then the other
+                for k in sorted((i, j), key=bound.__getitem__, reverse=True):
+                    if bound[i] + (p - 1) * (bound[j] - 1) >= cap:
+                        reduce(k)
             a, b = rows[i], rows[j]
             top, top_j = (a[pos].bit_length() - 1) // w, (b[pos].bit_length() - 1) // w
             c = (a[pos] >> top * w) * pow(b[pos] >> top_j * w, -1, p) % p
@@ -310,18 +326,13 @@ def _kernel_twists(ring: GradedRing, rows) -> list:
             for col, y in enumerate(b):
                 if y:
                     a[col] = _strip(a[col] + ((p - c) * y << shift), p, w)
-            fill += 1
-            if fill == room:
-                rows[i] = a = reduced(a)
-                fill = 0
+            bound[i] += (p - 1) * (bound[j] - 1)
             was, before = pos, sd
             pos, sd = lead(a)
             if not (pos >= h > was or (pos < h) == (was < h)
                     and (sd < before or sd == before and pos < was)):
                 raise InternalError(f"lead (position, degree) {was}, {before} -> {pos}, {sd}")
-        if fill:
-            rows[i] = reduced(rows[i])
-        pivots[pos] = (i, sd)
+        install(pos, i, sd)
     return [sd for pos, (_, sd) in pivots.items() if pos >= h]
 
 
@@ -361,12 +372,14 @@ def split(ring: GradedRing, gens, q: int) -> Split | None:
     NF(x^k g^q) are built as packed vectors over K[t] (``_kernel_rows``),
     with no Poly power taken.  M is invertible over F_p, so no colength or
     h^0 changes, and g^q(Mx) = g(Mx)^[q]: the change acts on the degree-d
-    generators.  None when ``_linear_change`` finds no change (a curve
-    through every F_p-point).
+    generators.  ``_linear_change`` tries P = e_1 first, and H(e_1) != 0
+    (a pure x^h term in H) gives M = I: ring and gens are taken as they
+    are, with nothing substituted.  None when ``_linear_change`` finds no
+    change (a curve through every F_p-point).
     """
     validate_prime_power(ring.field.p, q)
     H = ring.relation
-    if H is not None:
+    if H is not None and not H.evaluate((1, 0, 0)):
         change = _linear_change(H)
         if change is None:
             return None

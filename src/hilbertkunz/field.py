@@ -57,7 +57,7 @@ def prime_base(q: int) -> int:
 
 def validate_prime_power(p: int, q: int) -> int:
     """Return e with q = p^e, or raise."""
-    if q < 1:
+    if type(q) is not int or q < 1:
         raise UserError(f"q must be a positive power of {p}, got {q}")
     e = 0
     while q > 1:

@@ -239,6 +239,8 @@ def parse_poly(text: str, varnames, field: PrimeField) -> Poly:
     varnames = list(varnames)
     if len(set(varnames)) != len(varnames):
         raise UserError("duplicate variable names")
+    if "" in varnames:
+        raise UserError("empty variable name")
     toks = _tokens(text, varnames)
     idx = 0
 

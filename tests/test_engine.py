@@ -93,6 +93,19 @@ def test_validate_prime_power():
         validate_prime_power(3, 0)
 
 
+@pytest.mark.parametrize("q", [5.0, True], ids=["float", "bool"])
+def test_q_that_is_not_an_int_is_a_user_error(q):
+    """q = 5.0 has no bit_length, and True == 1 would give the q = 1 row:
+    both are refused as not a power of p, by hk_value and by split."""
+    ideal = fermat_ideal()
+    with pytest.raises(UserError, match=f"^q must be a positive power of 5, got {q}$"):
+        validate_prime_power(5, q)
+    with pytest.raises(UserError):
+        engine.hk_value(ideal, q)
+    with pytest.raises(UserError):
+        engine.split(ideal.ring, ideal.gens, q)
+
+
 def test_monomial_survivor_counts():
     """(x,y)^[4] over F_2: count degree-m monomials outside (x^4, y^4)."""
     ideal = free_ideal(2, ("x", "y"))
@@ -534,12 +547,13 @@ def test_reduce_slots_matches_per_slot_mod(p, w):
 
 
 def test_kernel_reduces_full_slots_at_the_largest_prime(monkeypatch):
-    """At p = 2^31 - 1 a slot is 64 bits and takes room = 4 transformations
-    between reductions: slots holding sums of several products (>= p^2)
-    reach ``_reduce_slots``, and the split's closed form equals the per-degree
-    reference.
+    """At p = 2^31 - 1 a slot is 64 bits and takes 4 transformations from
+    reduced pivots before its bound would reach 2^64: slots holding sums of
+    several products (>= p^2) reach ``_reduce_slots``, and the split's closed
+    form equals the per-degree reference.
     Dense forms with coefficients up to p - 1 fill the slots; without the
-    reduction after every room transformations, this cone's slots carry."""
+    reduction before a transformation that would reach 2^64, this cone's
+    slots carry."""
     p = 2**31 - 1
     F = PrimeField(p)
     rng = random.Random(5)
@@ -562,6 +576,42 @@ def test_kernel_reduces_full_slots_at_the_largest_prime(monkeypatch):
     got = split_pieces(engine.split(R, gens, 1), top)
     assert largest and max(largest) >= p * p
     assert got == [engine._degree_piece(R, gens, m) for m in range(top + 1)]
+
+
+def test_identity_change_of_coordinates_substitutes_nothing(monkeypatch):
+    """x^3 + y^3 + z^3 has an x^3 term, so ``_linear_change`` would give
+    P = e_1 and M = I: with ``Poly.substitute`` made to fail, the ideal is
+    built and hk_value gives phi = (9q^2 - 5)/4 (Buchweitz-Chen) at q = 5,
+    25 and 125, on the ring and generators as given."""
+
+    def refuse(*args):
+        raise AssertionError("Poly.substitute called")
+
+    monkeypatch.setattr(Poly, "substitute", refuse)
+    ideal = fermat_ideal()
+    for q in (5, 25, 125):
+        assert engine.hk_value(ideal, q).phi == (9 * q * q - 5) // 4
+
+
+def test_kernel_reduces_a_pivot_only_past_half_the_slot(monkeypatch):
+    """Pivots carry the fill of their bound while it stays below 2^(w/2),
+    and a row is reduced only when a transformation could reach 2^w: on
+    (x, y, z) of the F_5 Fermat cone at q = 125 the kernel calls
+    ``_reduce_slots`` 372 times, where reducing every pivot at each install
+    and swap called it 732 times.  The twists are unchanged."""
+    ideal = fermat_ideal()
+    rows = engine._kernel_rows(ideal.ring, ideal.gens, 125)
+    calls = []
+    reduce_slots = engine._reduce_slots
+
+    def counting(x, p, w):
+        calls.append(w)
+        return reduce_slots(x, p, w)
+
+    monkeypatch.setattr(engine, "_reduce_slots", counting)
+    twists = engine._kernel_twists(ideal.ring, rows)
+    assert sorted(twists) == [188, 188, 188, 189, 189, 189]
+    assert len(calls) <= 372
 
 
 def test_kernel_strips_top_slots_that_are_zero_mod_p_but_not_zero(monkeypatch):

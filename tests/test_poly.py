@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,6 +70,29 @@ def test_parse_error_message_and_position(text, message, position):
     assert info.value.position == position
     assert str(info.value) == f"{message} (at position {position})"
 
+
+
+def test_empty_variable_name_is_a_user_error():
+    """An empty name matches at every position, so the tokenizer would never
+    advance; ``parse_poly`` refuses it.  The parse runs in a child process
+    with its address space and time capped, so a tokenizer that loops fails
+    this test instead of holding the suite."""
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from hilbertkunz.errors import UserError
+        from hilbertkunz.field import PrimeField
+        from hilbertkunz.ring import GradedRing
+        try:
+            GradedRing(PrimeField(5), ("x", "")).parse("x + @")
+        except UserError as e:
+            print("UserError:", e)
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=20)
+    assert proc.stdout.strip() == "UserError: empty variable name", proc.stderr
 
 
 def test_deep_nesting_is_a_parse_error():

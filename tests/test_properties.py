@@ -4,9 +4,12 @@ Each drawn ideal of F_p[x,y] is run through the kernel route (its split
 in closed form, ``oracles.split_pieces``, and ``hk_value``), the
 per-degree route (``_degree_piece``), the ambient-ring elimination in
 ``oracles.py`` and the splitting type, and the four must agree.
+p = 131 and p = 32749 run the kernel on 32-bit slots: at 131 a pivot
+that took one transformation has bound p + (p - 1)^2 = 17031 < 2^16 and
+is carried unreduced, at 32749 it is past 2^16 and is reduced.
 p = 65521 and p = 2^31 - 1 run the kernel on 64-bit slots, and at
-2^31 - 1 a slot takes only (2^64 - p) // (p - 1)^2 = 4 transformations
-between reductions.  For p > 5 only q = 1 is drawn: at q = p
+2^31 - 1 a slot takes only 4 transformations from reduced pivots before
+its bound would reach 2^64.  For p > 5 only q = 1 is drawn: at q = p
 the degrees run into the tens of thousands.
 
 Each drawn ideal of a cone F_p[x,y,z]/(H), deg H in 2..6, is checked
@@ -51,7 +54,8 @@ from hilbertkunz.ring import GradedRing, IdealSpec
 
 from oracles import ambient_colength, frobenius_terms, split_pieces, value_at
 
-CASES = ((2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5), (65521, 1), (2**31 - 1, 1))
+CASES = ((2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5), (131, 1), (32749, 1), (65521, 1),
+         (2**31 - 1, 1))
 
 
 @st.composite
@@ -129,7 +133,8 @@ def test_routes_agree_on_binary_forms(p, q, data):
         assert predicted == oracle[m], (m, twists)
 
 
-HYPERSURFACE_CASES = ((2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5), (65521, 1), (2**31 - 1, 1))
+HYPERSURFACE_CASES = ((2, 1), (2, 2), (3, 1), (3, 3), (5, 1), (5, 5), (131, 1), (32749, 1),
+                      (65521, 1), (2**31 - 1, 1))
 
 
 def _ternary_form(draw, field, d, k):
