@@ -372,10 +372,10 @@ def split(ring: GradedRing, gens, q: int) -> Split | None:
     NF(x^k g^q) are built as packed vectors over K[t] (``_kernel_rows``),
     with no Poly power taken.  M is invertible over F_p, so no colength or
     h^0 changes, and g^q(Mx) = g(Mx)^[q]: the change acts on the degree-d
-    generators.  ``_linear_change`` tries P = e_1 first, and H(e_1) != 0
-    (a pure x^h term in H) gives M = I: ring and gens are taken as they
-    are, with nothing substituted.  None when ``_linear_change`` finds no
-    change (a curve through every F_p-point).
+    generators.  Where H(e_1) != 0 (a pure x^h term in H), the first point
+    ``_linear_change`` tries gives M = I, so ring and gens are taken as
+    they are, with nothing substituted.  None when ``_linear_change`` finds
+    no change (a curve through every F_p-point).
     """
     validate_prime_power(ring.field.p, q)
     H = ring.relation
