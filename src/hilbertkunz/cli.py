@@ -16,20 +16,19 @@ import os
 import sys
 from contextlib import ExitStack
 from fractions import Fraction
-from itertools import product
 
 from . import corpus, engine
 from .errors import InternalError, ParseError, UserError
 from .field import PrimeField, prime_base, validate_prime_power
 from .p1 import analyze_ideal
-from .poly import Poly, parse_poly
+from .poly import parse_poly
 from .reconstruct import (
     AmbiguousReconstruction,
     default_denominator_bound,
     estimate_ehk,
     nu2_from_ehk,
 )
-from .ring import GradedRing, IdealSpec
+from .ring import GradedRing, IdealSpec, is_smooth
 from .slopes import (
     HNData,
     ehk_from_hn,
@@ -156,48 +155,13 @@ def _write_csvs(config: dict, tables) -> None:
 # -- subcommands -------------------------------------------------------
 
 
-_SEARCH_LIMIT = 50  # largest p whose F_p-points the advisory search visits
-
-
-def check_smoothness_advisory(ring: GradedRing) -> str | None:
-    """Brute-force search for a common zero of H and its partials over F_p.
-
-    Advisory only: smoothness over the algebraic closure is what the
-    slope theory needs, and a rational singular point is merely a strong
-    hint.  Returns a message, or None when p exceeds the search limit.
-    """
-    p = ring.field.p
-    if ring.relation is None:
-        return "free ring: Proj R is the projective line, smooth"
-    if p > _SEARCH_LIMIT:
-        return None
-    partials = []
-    for i in range(ring.nvars):
-        terms = {}
-        for exp, c in ring.relation.terms.items():
-            if exp[i]:
-                e = list(exp)
-                e[i] -= 1
-                terms[tuple(e)] = (terms.get(tuple(e), 0) + c * exp[i]) % p
-        partials.append(Poly(ring.field, ring.nvars, terms))
-    for point in product(range(p), repeat=ring.nvars):
-        if not any(point):
-            continue
-        if ring.relation.evaluate(point):
-            continue
-        if all(d.evaluate(point) == 0 for d in partials):
-            return f"singular point {point} on the curve over F_{p}"
-    return f"no F_{p}-rational singular point (smoothness over the closure not certified)"
-
-
 def cmd_compute(args) -> int:
     config = _merge_config(args)
     ideal = build_ideal(config)
-    if getattr(args, "check_smooth", False):
-        note = check_smoothness_advisory(ideal.ring)
-        if note is None:
-            note = "characteristic too large for the brute-force advisory check"
-        print(f"smoothness advisory: {note}", file=sys.stderr)
+    if args.check_smooth:
+        verdict = "smooth" if is_smooth(ideal.ring) else "singular"
+        print(f"smoothness: Proj R is {verdict} over the algebraic closure of F_{ideal.field.p}",
+              file=sys.stderr)
     qs = _q_list(config, ideal.field.p)
     rows = [engine.hk_value(ideal, q) for q in qs]
     tables = [(args.out, ["q,phi"] + [f"{row.q},{row.phi}" for row in rows])]
@@ -334,6 +298,7 @@ def cmd_reconstruct(args) -> int:
     except AmbiguousReconstruction as exc:
         print(f"ambiguous: {exc}", file=sys.stderr)
         return EXIT_USER
+    nu2 = None if args.plane_curve_h is None else nu2_from_ehk(args.plane_curve_h, value)
     print(f"ehk = {value}")
     print(f"raw_estimate = {report.raw}")
     print(f"q_pair = {report.q_pair[0]},{report.q_pair[1]}")
@@ -341,8 +306,7 @@ def cmd_reconstruct(args) -> int:
     print(f"window = {report.window}")
     for q in sorted(report.residuals):
         print(f"residual[q={q}] = {report.residuals[q]}")
-    if args.plane_curve_h:
-        nu2 = nu2_from_ehk(args.plane_curve_h, value)
+    if nu2 is not None:
         print(f"nu2 = {nu2}")
     return EXIT_OK
 
@@ -385,7 +349,7 @@ def make_parser() -> _Parser:
     c.add_argument(
         "--check-smooth",
         action="store_true",
-        help="advisory brute-force search for rational singular points of H",
+        help="print on stderr whether Proj R is smooth over the algebraic closure of F_p",
     )
     c.set_defaults(fn=cmd_compute)
 

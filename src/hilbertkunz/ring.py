@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 from math import comb
 
-from .errors import NotPrimaryError, UserError
+from .errors import InternalError, NotPrimaryError, UserError
 from .field import PrimeField
 from .poly import Poly, grevlex_key, monomial_div, monomial_divides, monomial_mul, parse_poly
 
@@ -93,7 +93,9 @@ class GradedRing:
                     for f in _monomials(self.nvars - 1, rest - a):
                         mons.append(tuple(map(sum, zip(head, f))) + (a,) + f[i:])
             mons = tuple(mons)
-        assert len(mons) == self.hilbert_dim(m)
+        if len(mons) != self.hilbert_dim(m):
+            raise InternalError(f"{len(mons)} standard monomials of degree {m}, "
+                                f"not {self.hilbert_dim(m)}")
         return mons
 
     # -- normal forms --------------------------------------------------
@@ -219,3 +221,26 @@ class IdealSpec:
         gens = ", ".join(self.ring.poly_str(g) for g in self.gens)
         return f"({gens}) in {self.ring!r}"
 
+
+def is_smooth(ring: GradedRing) -> bool:
+    """Whether Proj R is smooth over the algebraic closure of F_p.
+
+    A free ring or a linear H gives a projective space.  Otherwise that holds
+    exactly when the nonzero partials of H generate an R_+-primary ideal of R
+    (the Jacobian criterion), which IdealSpec decides over the closure; a
+    single form of positive degree generates none.  A smooth plane curve is
+    irreducible, so R is then a normal domain.
+    """
+    H, p, n = ring.relation, ring.field.p, ring.nvars
+    if H is None or H.degree() == 1:
+        return True
+    partials = [Poly(ring.field, n, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] % p
+                                     for e, c in H.terms.items() if e[i] % p}) for i in range(n)]
+    partials = tuple(d for d in partials if not d.is_zero())
+    if len(partials) < 2:
+        return False
+    try:
+        IdealSpec(ring, partials)
+    except NotPrimaryError:
+        return False
+    return True

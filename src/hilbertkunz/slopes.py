@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import Frozen, UserError
+from .errors import Frozen, InternalError, UserError
 
 
 class HNData(Frozen):
@@ -73,6 +73,13 @@ def _require_valid(hn: HNData, degrees) -> None:
         raise UserError("invalid slope data: " + "; ".join(problems))
 
 
+def _agreeing(value: Fraction, general: Fraction) -> Fraction:
+    """value, checked against the general formula (which first validated the slope data)."""
+    if value != general:
+        raise InternalError(f"closed form gives {value}, the general formula {general}")
+    return value
+
+
 def ehk_from_hn(hn: HNData, degrees) -> Fraction:
     """The main multiplicity formula; exact rational."""
     _require_valid(hn, degrees)
@@ -90,8 +97,7 @@ def ehk_strongly_semistable(degrees, degY: int) -> Fraction:
     total = sum(degrees)
     value = Fraction(degY, 2) * (Fraction(total, 1) ** 2 / (n - 1) - sum(d * d for d in degrees))
     hn = HNData(n=n, degY=degY, ranks=(n - 1,), nus=(Fraction(total, n - 1),))
-    assert value == ehk_from_hn(hn, degrees)
-    return value
+    return _agreeing(value, ehk_from_hn(hn, degrees))
 
 
 def ehk_t2(r2: int, nu2, degrees, degY: int) -> Fraction:
@@ -113,8 +119,7 @@ def ehk_t2(r2: int, nu2, degrees, degY: int) -> Fraction:
         r2 * nu2 * nu2 + (total - r2 * nu2) ** 2 / Fraction(r1) - sum(d * d for d in degrees)
     )
     hn = HNData(n=n, degY=degY, ranks=(r1, r2), nus=(nu1, nu2))
-    assert value == ehk_from_hn(hn, degrees)
-    return value
+    return _agreeing(value, ehk_from_hn(hn, degrees))
 
 
 def ehk_n3(nu2, degrees, degY: int) -> Fraction:
@@ -128,8 +133,7 @@ def ehk_n3(nu2, degrees, degY: int) -> Fraction:
         degrees[0] * degrees[1] + degrees[0] * degrees[2] + degrees[1] * degrees[2]
     )
     value = degY * (nu2 * nu2 - nu2 * total + pair_sum)
-    assert value == ehk_t2(1, nu2, degrees, degY)
-    return value
+    return _agreeing(value, ehk_t2(1, nu2, degrees, degY))
 
 
 def ehk_plane_curve(h: int, nu2) -> Fraction:

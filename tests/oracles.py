@@ -65,6 +65,19 @@ def ambient_colength(relation_terms, gen_terms_list, nvars, p, m):
     return len(basis) - rank_mod_p(columns, p)
 
 
+def partial_terms(terms, p):
+    """The nonzero partial derivatives of a {exponent-tuple: coeff} dict over F_p."""
+    out = []
+    for i in range(len(next(iter(terms)))):
+        d = {}
+        for e, c in terms.items():
+            if e[i] % p:
+                d[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i] % p
+        if d:
+            out.append(d)
+    return out
+
+
 def frobenius_terms(terms, q, p):
     """Raise a term dict to the q-th power using the Frobenius identity.
 

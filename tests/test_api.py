@@ -6,11 +6,11 @@ no module keeps hidden cross-call state in a ``functools`` cache.  The
 package runs on the standard library alone, so importing it and computing
 loads no numpy.  Every public function of ``engine`` has a caller in
 ``src/`` or in the benchmark workloads, so none lives on for the tests
-alone.  The record classes are plain code: importing the package
-or its CLI loads neither ``dataclasses`` nor ``inspect`` nor ``typing``, the
-value types keep the equality, hash, repr and immutability of frozen
-dataclasses, and the ``gc.freeze()`` that ends the import leaves the
-collector working.
+alone, and ``src/`` holds no ``assert``, which ``python -O`` would skip.
+The record classes are plain code: importing the package or its CLI loads
+neither ``dataclasses`` nor ``inspect`` nor ``typing``, the value types keep
+the equality, hash, repr and immutability of frozen dataclasses, and the
+``gc.freeze()`` that ends the import leaves the collector working.
 """
 
 import ast
@@ -123,6 +123,15 @@ def test_public_engine_functions_have_a_caller():
                     and not name.startswith("_"))
     called = _called_names([*(ROOT / "src").rglob("*.py"), WORKLOADS])
     assert public and [name for name in public if name not in called] == []
+
+
+def test_no_assert_in_the_package():
+    """Every check is a typed error, so none is skipped under `python -O`."""
+    asserts = [f"{path.relative_to(ROOT)}:{node.lineno}"
+               for path in sorted((ROOT / "src").rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 def test_no_module_level_cache():

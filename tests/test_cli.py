@@ -141,6 +141,25 @@ def test_reconstruct_round_trip(tmp_path, capsys):
     assert "nu2 = 3/2" in out
 
 
+@pytest.mark.parametrize("h, message", [
+    ("5", "e_HK = 9/4 outside the plane-curve range [3h/4, h]"),
+    ("0", "curve degree must be positive"),
+])
+def test_reconstruct_bad_plane_curve_degree_prints_no_report(h, message, tmp_path, capsys):
+    """e_HK = 9/4 of the Fermat cubic is outside [15/4, 5] for h = 5, and h = 0 is no
+    curve degree: the run fails before any of the report reaches stdout."""
+    table = tmp_path / "phi.csv"
+    argv = ["compute", "--p", "5", "--vars", "x,y,z", "--hypersurface", "x^3+y^3+z^3",
+            "--gens", "x;y;z", "--q", "5,25", "--out", str(table)]
+    assert run_cli(argv, capsys)[0] == 0
+    code, out, err = run_cli(
+        ["reconstruct", "--table", str(table), "--bound", "1500", "--plane-curve-h", h],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_reconstruct_window_reads_the_ideal_from_the_header(tmp_path, capsys):
     """A `compute --out` table carries the ideal, so the window is 4 * sum(d_i) / q1
     = 12/5 for (x,y,z) at q = 5, 25; the same rows without the header keep 16/5."""
@@ -389,18 +408,29 @@ def test_formula_mode_validation(capsys):
     assert code == 1
 
 
-def test_smoothness_advisory(capsys):
-    base = ["compute", "--vars", "x,y,z", "--gens", "x;y;z", "--check-smooth"]
-    code, _, err = run_cli(
-        base + ["--p", "7", "--hypersurface", "x^3-y^2*z", "--q", "7"], capsys
-    )
+@pytest.mark.parametrize("p, q, relation, verdict", [
+    ("7", "7", "x^3-y^2*z", "singular"),
+    ("65521", "1", "x^3-y^2*z", "singular"),
+    ("5", "5", "x^3+y^3+z^3", "smooth"),
+    ("65521", "1", "x^3+y^3+z^3", "smooth"),
+], ids=["cusp-F7", "cusp-F65521", "fermat-F5", "fermat-F65521"])
+def test_check_smooth_certifies_over_the_closure(p, q, relation, verdict, capsys):
+    """The verdict holds over the algebraic closure at every p, and it goes to
+    stderr only: stdout and the exit code are those of the run without it."""
+    argv = ["compute", "--p", p, "--vars", "x,y,z", "--hypersurface", relation,
+            "--gens", "x;y;z", "--q", q]
+    plain = run_cli(argv, capsys)
+    checked = run_cli(argv + ["--check-smooth"], capsys)
+    assert plain[:2] == checked[:2] and plain[0] == 0
+    assert plain[2] == ""
+    assert checked[2] == f"smoothness: Proj R is {verdict} over the algebraic closure of F_{p}\n"
+
+
+def test_check_smooth_on_the_free_ring(capsys):
+    code, _, err = run_cli(["compute", "--p", "2", "--gens", "x;y", "--q", "2",
+                            "--check-smooth"], capsys)
     assert code == 0
-    assert "singular point (0, 0, 1)" in err
-    code, _, err = run_cli(
-        base + ["--p", "5", "--hypersurface", "x^3+y^3+z^3", "--q", "5"], capsys
-    )
-    assert code == 0
-    assert "no F_5-rational singular point" in err
+    assert err == "smoothness: Proj R is smooth over the algebraic closure of F_2\n"
 
 
 def test_determinism(capsys):
@@ -416,3 +446,15 @@ def test_compute_rejects_free_ring_in_three_variables(capsys):
     )
     assert code == 1
     assert "cone" in err
+
+
+def test_closed_form_checks_survive_optimized_mode():
+    """Under `python -O` the closed forms still validate their slope data: degY = 0
+    is a user error, not a printed 0."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-O", "-m", "hilbertkunz.cli", "formula",
+                           "--semistable", "--d", "1,1,1", "--degY", "0"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_USER, "")
+    assert proc.stderr.startswith("error: invalid slope data: degY must be positive")

@@ -2,14 +2,14 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hilbertkunz.errors import NotPrimaryError, UserError
 from hilbertkunz.field import PrimeField
 from hilbertkunz.poly import Poly, parse_poly
-from hilbertkunz.ring import GradedRing, IdealSpec, first_vanishing_degree
+from hilbertkunz.ring import GradedRing, IdealSpec, first_vanishing_degree, is_smooth
 
-from oracles import degree_monomials
+from oracles import ambient_colength, degree_monomials, partial_terms
 
 F5 = PrimeField(5)
 XYZ = ("x", "y", "z")
@@ -188,3 +188,98 @@ def test_bad_relations_rejected():
     for text in ("0", "x^2 + y", "3"):
         with pytest.raises(UserError):
             GradedRing(F, XYZ, relation=parse_poly(text, XYZ, F))
+
+
+# Proj R for plane curves of known type: (p, H, smooth).  The Klein quartic
+# has bad reduction at 7; x^3+y^3+z^3 over F_3 and x^4+y^4+z^4 over F_2 are
+# p-th powers of a linear form, with no nonzero partial.
+KNOWN_CURVES = [
+    (5, "x^3+y^3+z^3", True),
+    (65521, "x^3+y^3+z^3", True),
+    (5, "x^2*y+y^2*z+z^2*x", True),
+    (2, "x^3*y+y^3*z+z^3*x", True),
+    (3, "x^4+y^4+z^4", True),
+    (7, "x^4+y^4+z^4", True),
+    (2, "x^5+y^5+z^5", True),
+    (3, "x^5+y^5+z^5+x*y*z^3", True),
+    (7, "x^3-y^2*z", False),
+    (65521, "x^3-y^2*z", False),
+    (7, "y^2*z-x^3-x^2*z", False),
+    (7, "x^3*y+y^3*z+z^3*x", False),
+    (2, "x^2*y+x*y^2", False),
+    (101, "(x^2+y^2+z^2)*(x+y+z)", False),
+    (13, "x^2*y^2+y^2*z^2+z^2*x^2", False),
+    (3, "x^3+y^3+z^3", False),
+    (2, "x^4+y^4+z^4", False),
+]
+
+
+def cone(p, text):
+    F = PrimeField(p)
+    return GradedRing(F, XYZ, relation=parse_poly(text, XYZ, F))
+
+
+def ambient_smooth(ring):
+    """H and its nonzero partials generate an ideal of finite colength in F_p[x,y,z]:
+    its degree-(3h-2) piece vanishes (IdealSpec's bound for gens of degree <= h)."""
+    H, p = ring.relation, ring.field.p
+    return ambient_colength(H.terms, partial_terms(H.terms, p), 3, p, 3 * H.degree() - 2) == 0
+
+
+@pytest.mark.parametrize("p, text, smooth", KNOWN_CURVES,
+                         ids=[f"{text}-F{p}" for p, text, _ in KNOWN_CURVES])
+def test_smoothness_of_known_curves(p, text, smooth):
+    ring = cone(p, text)
+    assert is_smooth(ring) is smooth
+    assert ambient_smooth(ring) is smooth
+
+
+def test_smoothness_of_free_rings_and_lines():
+    assert is_smooth(GradedRing(F5, ("x", "y")))
+    assert is_smooth(cone(7, "x+2*y"))  # a line: its one nonzero partial is a unit
+
+
+@pytest.mark.parametrize("p, text", [(5, "x^2*y+y^2*z+z^2*x"), (2, "x^3*y+y^3*z+z^3*x")])
+def test_smoothness_needs_every_partial(p, text):
+    """On the Klein curves all three partials are nonzero and no two of them generate
+    a primary ideal, so a verdict that dropped one would read singular."""
+    ring = cone(p, text)
+    partials = [Poly(ring.field, 3, t) for t in partial_terms(ring.relation.terms, p)]
+    assert len(partials) == 3 and is_smooth(ring)
+    for i in range(3):
+        with pytest.raises(NotPrimaryError):
+            IdealSpec(ring, tuple(partials[:i] + partials[i + 1:]))
+
+
+@st.composite
+def ternary_forms(draw, p, degrees):
+    d = draw(st.sampled_from(degrees))
+    mons = degree_monomials(3, d)
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(mons), max_size=len(mons)))
+    terms = {e: c for e, c in zip(mons, coeffs) if c}
+    assume(terms)
+    return Poly(PrimeField(p), 3, terms)
+
+
+PRIMES = [2, 3, 5, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_smoothness_matches_ambient_oracle(p, data):
+    ring = GradedRing(PrimeField(p), XYZ, data.draw(ternary_forms(p, (2, 3, 4))))
+    assert is_smooth(ring) is ambient_smooth(ring)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_reducible_curves_are_singular(p, data):
+    """Two components of a plane curve meet over the closure (Bezout), and a
+    common point of f = 0 and g = 0 is a singular point of f*g = 0."""
+    f = data.draw(ternary_forms(p, (1, 2)))
+    g = data.draw(ternary_forms(p, (1, 2)))
+    ring = GradedRing(PrimeField(p), XYZ, f * g)
+    assert not is_smooth(ring)
+    assert not ambient_smooth(ring)

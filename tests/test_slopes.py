@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hilbertkunz.errors import UserError
+from hilbertkunz import slopes
+from hilbertkunz.errors import InternalError, UserError
 from hilbertkunz.slopes import (
     HNData,
     add_generator,
@@ -73,6 +74,20 @@ def test_t2_and_n3_pinned():
         ehk_t2(1, 3, (3, 3, 3), 1)  # reconstructed nu_1 not below nu_2
     with pytest.raises(UserError):
         ehk_n3(5, (3, 3), 1)  # needs exactly three degrees
+
+
+def test_closed_forms_check_their_data_and_their_value(monkeypatch):
+    """The check against ehk_from_hn is a call, not an assert: bad slope data is a
+    user error and a disagreeing closed form an internal one."""
+    with pytest.raises(UserError, match="degY must be positive"):
+        ehk_strongly_semistable((1, 1, 1), 0)
+    with pytest.raises(UserError, match="generator degrees must be positive"):
+        ehk_n3(5, (0, 3, 3), 1)
+    monkeypatch.setattr(slopes, "ehk_from_hn", lambda hn, degrees: Fraction(-1))
+    for closed_form in (lambda: ehk_strongly_semistable((1, 1, 1), 3),
+                        lambda: ehk_t2(1, 5, (3, 3, 3), 1), lambda: ehk_n3(5, (3, 3, 3), 1)):
+        with pytest.raises(InternalError, match="the general formula -1"):
+            closed_form()
 
 
 def test_plane_curve_formula():
