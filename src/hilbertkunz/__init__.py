@@ -11,12 +11,10 @@ from .errors import (
 )
 from .field import PrimeField
 from .p1 import (
-    NotStabilized,
     SplittingType,
     analyze_ideal,
     hn_from_splittings,
     splitting_type,
-    verify_h0_profile,
 )
 from .poly import Poly, parse_poly
 from .reconstruct import (
@@ -48,7 +46,6 @@ __all__ = [
     "InternalError",
     "MonomialIdeal2",
     "NotPrimaryError",
-    "NotStabilized",
     "ParseError",
     "Poly",
     "PrimeField",
@@ -71,7 +68,6 @@ __all__ = [
     "splitting_type",
     "staircase_colength",
     "validate",
-    "verify_h0_profile",
 ]
 
 __version__ = "0.1.0"

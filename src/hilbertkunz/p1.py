@@ -3,12 +3,10 @@
 Over R = K[x,y] every syzygy bundle splits as a direct sum of twists
 O(-e_1) + ... + O(-e_{n-1}).  The twists are the shifted degrees of the
 kernel basis that ``engine.split`` computes for the q-th generator
-powers, the same basis the Hilbert-Kunz function is read from; they fix
-the global-section profile, h0(m) = sum_j (m - e_j + 1)_+.  Pulling back
-under Frobenius scales every twist by p, so comparing the twist
-multisets at two q values tests whether the slope data has stabilized,
-and slope data is checked at q by comparing the twists it predicts,
-q*nu_k taken r_k times, with the computed ones.
+powers, the same basis the Hilbert-Kunz function is read from.  Pulling
+back under Frobenius scales every twist by p, so once the twist multiset
+at the larger of two q values is the scaled one at the smaller, the
+slope data nu_k = e_j / q with multiplicities r_k can be read off.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from . import engine
 from .errors import Frozen, UserError
 from .field import prime_base
 from .ring import IdealSpec
-from .slopes import HNData, _require_valid, ehk_from_hn
+from .slopes import HNData, ehk_from_hn
 
 
 def _require_p1(ideal: IdealSpec) -> None:
@@ -37,18 +35,6 @@ class SplittingType(Frozen):
         super().__init__(q, tuple(sorted(int(e) for e in twists)))
 
 
-class NotStabilized(Frozen):
-    """Twist multisets at two q values that are not Frobenius-scaled copies."""
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first: SplittingType, second: SplittingType):
-        super().__init__(first, second)
-
-    def __bool__(self):
-        return False
-
-
 def splitting_type(ideal: IdealSpec, q: int) -> SplittingType:
     """The twists of the q-th generator powers, as ``hk_value`` reads and checks them.
 
@@ -58,12 +44,11 @@ def splitting_type(ideal: IdealSpec, q: int) -> SplittingType:
     return SplittingType(q=q, twists=engine.hk_value(ideal, q).twists)
 
 
-def hn_from_splittings(s1: SplittingType, s2: SplittingType, *, n=None):
-    """Slope data from two splitting types, if the second is the scaled first.
+def hn_from_splittings(s1: SplittingType, s2: SplittingType, *, n=None) -> HNData | None:
+    """Slope data from two splitting types, or None if the second is not the scaled first.
 
-    Returns HNData on stabilization, else NotStabilized with both
-    multisets.  n defaults to one more than the twist count; degY is 1,
-    the degree of O(1) on P^1.
+    n defaults to one more than the twist count; degY is 1, the degree
+    of O(1) on P^1.
     """
     if s2.q <= s1.q:
         raise UserError("second splitting type must have the larger q")
@@ -73,53 +58,11 @@ def hn_from_splittings(s1: SplittingType, s2: SplittingType, *, n=None):
     ratio = s2.q // s1.q
     scaled = tuple(sorted(ratio * e for e in s1.twists))
     if scaled != s2.twists:
-        return NotStabilized(first=s1, second=s2)
+        return None
     if n is None:
         n = len(s1.twists) + 1
     steps = [(v, len(list(run))) for v, run in groupby(Fraction(e, s1.q) for e in s1.twists)]
     return HNData(n=n, degY=1, ranks=tuple(r for _, r in steps), nus=tuple(v for v, _ in steps))
-
-
-def _twists_from_hn(hn: HNData, q: int) -> tuple:
-    for v in hn.nus:
-        if (v * q).denominator != 1:
-            raise UserError(f"threshold {v} does not give integer twists at q={q}")
-    return tuple(int(v * q) for r, v in zip(hn.ranks, hn.nus) for _ in range(r))
-
-
-class ProfileReport:
-    """Outcome of comparing the computed twists with the predicted ones."""
-
-    def __init__(self, q: int, twists: tuple, mismatches: list | None = None):
-        self.q, self.twists = q, twists
-        self.mismatches = [] if mismatches is None else mismatches
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def verify_h0_profile(ideal: IdealSpec, q: int, hn: HNData) -> ProfileReport:
-    """Check the twists at q against the split-bundle prediction e_j = q*nu_k.
-
-    On the projective line (genus 0, deg Y = 1) this is the check of h0 in
-    every degree, and of the Serre-duality defect:
-
-    * every ideal over K[x,y] takes the kernel route, where
-      h0(m) = sum_j (m - e_j + 1)_+ is computed from the twists themselves;
-    * h0 over all m determines the twist multiset;
-    * ``hk_value`` enforces n - 1 twists summing to q*sum(d_i); given
-      that, for m >= q*max(d_i) - 1 the colength equals
-      h1(m) = sum_j (e_j - m - 1)_+ identically, so the duality check adds
-      nothing once the multisets agree.
-    """
-    _require_p1(ideal)
-    _require_valid(hn, ideal.degrees)
-    twists = _twists_from_hn(hn, q)
-    computed = splitting_type(ideal, q).twists
-    mismatches = [] if computed == twists else [
-        f"computed twists {computed}, slope data predicts {twists}"]
-    return ProfileReport(q=q, twists=twists, mismatches=mismatches)
 
 
 class SplittingReport:
@@ -151,9 +94,8 @@ def analyze_ideal(ideal: IdealSpec, *, max_exponent: int = 3) -> SplittingReport
     for e in range(2, max_exponent + 1):
         rows.append(engine.hk_value(ideal, p**e))
         splittings.append(SplittingType(q=p**e, twists=rows[-1].twists))
-        result = hn_from_splittings(*splittings[-2:], n=ideal.n)
-        if isinstance(result, HNData):
-            hn = result
+        hn = hn_from_splittings(*splittings[-2:], n=ideal.n)
+        if hn is not None:
             break
     if hn is None:
         return SplittingReport(

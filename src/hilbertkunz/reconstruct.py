@@ -52,7 +52,8 @@ def estimate_ehk(table, bound: int, *, window=None, window_constant=None):
     The difference quotient is taken over the two largest q.  The
     acceptance window is ``window``, or K / q1 with q1 the smaller of the
     two and K = window_constant (callers with an ideal pass 4 * sum of
-    generator degrees).  Every q must be 1 or a power of one prime p.
+    generator degrees), and must not be negative.  The q must be distinct,
+    and each must be 1 or a power of one prime p.
     Raises AmbiguousReconstruction when no bounded-denominator fraction
     lands inside the window.
     """
@@ -61,15 +62,17 @@ def estimate_ehk(table, bound: int, *, window=None, window_constant=None):
         raise UserError("need at least two (q, phi) rows")
     if len({prime_base(q) for q, _ in rows if q != 1}) > 1:
         raise UserError("q values must be powers of one prime")
-    (q1, phi1), (q2, phi2) = rows[-2], rows[-1]
-    if q2 <= q1:
+    if len({q for q, _ in rows}) < len(rows):
         raise UserError("q values must be distinct")
+    (q1, phi1), (q2, phi2) = rows[-2], rows[-1]
     raw = Fraction(phi2 - phi1, q2 * q2 - q1 * q1)
     if window is None:
         if window_constant is None:
             raise UserError("need window or window_constant")
         window = Fraction(window_constant, q1)
     window = Fraction(window)
+    if window < 0:
+        raise UserError(f"window must be nonnegative, got {window}")
     if bound < 1:
         raise UserError("denominator bound must be positive")
     value = raw.limit_denominator(bound)  # the closest fraction with denominator <= bound

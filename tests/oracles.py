@@ -6,6 +6,7 @@ internals beyond the public Monomial convention (exponent tuples).
 """
 
 from collections import namedtuple
+from fractions import Fraction
 from itertools import product
 
 
@@ -96,6 +97,46 @@ def value_at(terms, point, p):
             v *= a**k
         total += v
     return total % p
+
+
+def substitute(terms, point, p):
+    """g(P_1, ..., P_N) mod p for a {exponent-tuple: coeff} dict g and N
+    polynomials P_i given as such dicts in one set of variables, by
+    multiplying out every power term by term."""
+    nvars = len(next(iter(point[0])))
+    out = {}
+    for e, c in terms.items():
+        product_terms = {(0,) * nvars: c}
+        for factor, k in zip(point, e):
+            for _ in range(k):
+                step = {}
+                for a, ca in product_terms.items():
+                    for b, cb in factor.items():
+                        key = tuple(i + j for i, j in zip(a, b))
+                        step[key] = (step.get(key, 0) + ca * cb) % p
+                product_terms = step
+        for a, ca in product_terms.items():
+            out[a] = (out.get(a, 0) + ca) % p
+    return {a: c for a, c in out.items() if c}
+
+
+def rational_cone_ehk(P, gens, h, p):
+    """e_HK of (g_1..g_k) on the cone over a rational plane curve of degree h.
+
+    P = (P_x, P_y, P_z) are binary forms of degree h in u, v that
+    parametrize the curve birationally.  x, y, z -> P maps R into the
+    Veronese ring F_p[u,v]^(h) as a finite birational extension, over which
+    F_p[u,v] is free of rank h, and on the regular ring F_p[u,v] the
+    function is q^2 times the colength (Kunz).  So e_HK is
+    length(F_p[u,v]/(g_i(P)))/h, the colength summed degree by degree
+    until a degree has none.
+    """
+    pulled = [t for t in (substitute(g, P, p) for g in gens) if t]
+    total, m = 0, 0
+    while (colength := ambient_colength(None, pulled, 2, p, m)) > 0:
+        total += colength
+        m += 1
+    return Fraction(total, h)
 
 
 Piece = namedtuple("Piece", "m colength syzygy_h0 rank dim_target dim_source")

@@ -5,8 +5,9 @@ These checks only read: a deletion that would break
 no module keeps hidden cross-call state in a ``functools`` cache.  The
 package runs on the standard library alone, so importing it and computing
 loads no numpy.  Every public function of ``engine`` has a caller in
-``src/`` or in the benchmark workloads, so none lives on for the tests
-alone, and ``src/`` holds no ``assert``, which ``python -O`` would skip.
+``src/`` or in the benchmark workloads, and every name in ``__all__`` is
+used there or in a README example, so none lives on for the tests alone;
+``src/`` holds no ``assert``, which ``python -O`` would skip.
 The record classes are plain code: importing the package or its CLI loads
 neither ``dataclasses`` nor ``inspect`` nor ``typing``, the value types keep
 the equality, hash, repr and immutability of frozen dataclasses, and the
@@ -31,7 +32,7 @@ import pytest
 
 import hilbertkunz as hk
 from hilbertkunz.corpus import CriterionResult
-from hilbertkunz.p1 import ProfileReport, SplittingReport
+from hilbertkunz.p1 import SplittingReport
 from hilbertkunz.reconstruct import ReconstructionReport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,9 +78,6 @@ assert ref() is None and gone == [ref], "the cycle survived gc.collect()"
 SPLIT = hk.SplittingType(q=5, twists=[10, 5.0])
 VALUES = {
     "SplittingType(q=5, twists=(5, 10))": SPLIT,
-    "NotStabilized(first=SplittingType(q=5, twists=(5, 10)), "
-    "second=SplittingType(q=25, twists=(20, 30)))":
-        hk.NotStabilized(first=SPLIT, second=hk.SplittingType(q=25, twists=(30, 20))),
     "HNData(n=3, degY=1, ranks=(1, 1), nus=(Fraction(4, 1), Fraction(9, 2)))":
         hk.HNData(n=3, degY=1, ranks=(1.0, "1"), nus=[4, "9/2"]),
     "MonomialIdeal2(gens=((0, 2), (1, 1), (3, 0)))":
@@ -123,6 +121,32 @@ def test_public_engine_functions_have_a_caller():
                     and not name.startswith("_"))
     called = _called_names([*(ROOT / "src").rglob("*.py"), WORKLOADS])
     assert public and [name for name in public if name not in called] == []
+
+
+def _used_names(sources):
+    """The names the given sources load, read as an attribute, or import."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_public_names_have_a_user():
+    """Every name in ``__all__`` is used by the package, the benchmark workloads
+    or a README example, so none is exported for the tests alone."""
+    paths = [path for path in (ROOT / "src").rglob("*.py") if path.name != "__init__.py"]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert examples, "no python example found in the README"
+    used = _used_names([path.read_text(encoding="utf-8") for path in [*paths, WORKLOADS]]
+                       + examples)
+    assert sorted(name for name in hk.__all__ if name not in used) == []
 
 
 def test_no_assert_in_the_package():
@@ -196,8 +220,6 @@ def test_value_types_normalise():
     hn = hk.HNData(n=3, degY=1, ranks=[True, 1.0], nus=(4, "9/2"))
     assert hn.ranks == (1, 1) and all(type(r) is int for r in hn.ranks)
     assert hn.nus == (4, Fraction(9, 2)) and all(type(v) is Fraction for v in hn.nus)
-    stalled = hk.NotStabilized(st, st)
-    assert not stalled and bool(stalled) is False
 
 
 def test_mutable_records_construct_like_before():
@@ -205,8 +227,6 @@ def test_mutable_records_construct_like_before():
     assert row.per_degree == {} and hk.HKRow(5, 55, 9).per_degree is not row.per_degree
     row.phi = 56
     assert (row.q, row.phi, row.cutoff) == (5, 56, 9)
-    assert ProfileReport(q=5, twists=(5,)).mismatches == []
-    assert ProfileReport(5, (5,)).mismatches is not ProfileReport(5, (5,)).mismatches
     assert CriterionResult(1, "name", True, "detail", 0.5).values is None
     assert ReconstructionReport(1, 1, 2, 1, (2, 4), {}).q_pair == (2, 4)
     report = SplittingReport(None, [], False, None, None, [], None, None, None)

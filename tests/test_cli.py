@@ -209,6 +209,21 @@ def test_reconstruct_refuses_q_off_the_powers_of_one_prime(tmp_path, capsys):
             assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("rows,extra", [
+    (((5, 55), (5, 99), (25, 1405), (125, 35155)), []),
+    (((5, 55), (25, 1405), (125, 35155)), ["--window", "-1"]),
+    (((5, 55), (25, 1405), (125, 35155)), ["--window-constant", "-12"]),
+])
+def test_reconstruct_refuses_a_repeated_q_or_a_negative_window(rows, extra, tmp_path, capsys):
+    """A q listed twice and a window below 0 are user errors (exit 1) that
+    print no report and no ambiguity."""
+    table = tmp_path / "phi.csv"
+    table.write_text("q,phi\n" + "".join(f"{q},{phi}\n" for q, phi in rows))
+    code, out, err = run_cli(["reconstruct", "--table", str(table)] + extra, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "ambiguous" not in err
+
+
 def test_reconstruct_reads_p_near_2_31_from_q(tmp_path, capsys):
     """A table from q = p^2 with p = 2^31 - 1 reads p by an integer root, not
     by trial division up to p."""

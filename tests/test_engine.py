@@ -3,19 +3,19 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
 from hilbertkunz import engine
 from hilbertkunz.errors import InternalError, NotPrimaryError, UserError
 from hilbertkunz.field import PrimeField, validate_prime_power
-from hilbertkunz.p1 import splitting_type, verify_h0_profile
+from hilbertkunz.p1 import splitting_type
 from hilbertkunz.poly import Poly, parse_poly
 from hilbertkunz.ring import GradedRing, IdealSpec
-from hilbertkunz.slopes import HNData
 from hilbertkunz.staircase import MonomialIdeal2, staircase_colength
 
-from oracles import ambient_colength, frobenius_terms, split_pieces
+from oracles import ambient_colength, frobenius_terms, rational_cone_ehk, split_pieces, substitute
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -371,14 +371,11 @@ def test_per_degree_route_stops_at_the_cutoff(monkeypatch):
 def test_q_must_be_prime_power():
     """Every route that powers the generators rejects q that is not a power of p."""
     ideal = free_ideal(5, ("x", "y"))
-    hn = HNData(n=2, degY=1, ranks=(1,), nus=(2,))  # twists 2q
     for q in (10, 0):
         with pytest.raises(UserError):
             engine.hk_value(ideal, q)
         with pytest.raises(UserError):
             splitting_type(ideal, q)
-        with pytest.raises(UserError):
-            verify_h0_profile(ideal, q, hn)
 
 
 def test_wrong_twists_raise(monkeypatch):
@@ -692,3 +689,54 @@ def test_non_primary_ideal_on_the_per_degree_route():
     assert engine.split(R, gens, 1) is None
     with pytest.raises(NotPrimaryError, match="^no vanishing graded piece up to degree 7; "):
         IdealSpec(R, gens)
+
+
+CONE_IDEALS = ("x;y;z", "x^2;y^2;z^2;x*y", "x+y;y^2+x*z;z^2")
+# curve H, its parametrization P = (P_x, P_y, P_z) by binary forms of degree h,
+# and per ideal of CONE_IDEALS the pair (e_HK, phi(q) - e_HK q^2 at q = p^2, p^3)
+RATIONAL_CONES = {
+    "cusp": ("x^3-y^2*z", ({(2, 1): 1}, {(3, 0): 1}, {(0, 3): 1}), 3,
+             [(Fraction(7, 3), Fraction(-4, 3)), (9, -2), (Fraction(16, 3), Fraction(-4, 3))]),
+    "conic": ("x*y-z^2", ({(2, 0): 1}, {(0, 2): 1}, {(1, 1): 1}), 2,
+              [(Fraction(3, 2), Fraction(-1, 2)), (6, 0), (Fraction(7, 2), Fraction(-1, 2))]),
+    "quartic": ("x^4-y^3*z", ({(3, 1): 1}, {(4, 0): 1}, {(0, 4): 1}), 4,
+                [(Fraction(13, 4), Fraction(-9, 4)), (Fraction(51, 4), Fraction(-15, 4)), (8, 0)]),
+}
+
+
+def rational_cone(H, P, p):
+    names = ("x", "y", "z")
+    F = PrimeField(p)
+    relation = parse_poly(H, names, F)
+    assert substitute(relation.terms, P, p) == {}, f"P does not lie on {H}"
+    return GradedRing(F, names, relation=relation)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("name", sorted(RATIONAL_CONES))
+def test_rational_cone_ehk_oracle(name, p):
+    """On a cone over a rational curve, e_HK from the parametrization leaves
+    the same residual phi(q) - e_HK q^2 at q = p^2 and p^3, with no
+    reconstruction.  The cusp gives criterion 5's 7/3 for (x, y, z).  The
+    ladder starts at p^2: at q = p = 5 the quartic leaves -21/4 for (x, y, z),
+    not -9/4."""
+    H, P, h, pinned = RATIONAL_CONES[name]
+    R = rational_cone(H, P, p)
+    for gen_texts, (ehk, residual) in zip(CONE_IDEALS, pinned):
+        ideal = IdealSpec(R, tuple(R.parse(t) for t in gen_texts.split(";")))
+        assert rational_cone_ehk(P, [g.terms for g in ideal.gens], h, p) == ehk, gen_texts
+        for q in (p**2, p**3):
+            assert engine.hk_value(ideal, q).phi - ehk * q * q == residual, (gen_texts, q)
+
+
+def test_node_residual_is_unbounded():
+    """On the nodal cubic y^2 z = x^3 + x^2 z over F_7, R is not normal and
+    phi(q) - e_HK q^2 = -(q + 3)/3 grows with q, for e_HK = 7/3 from the
+    parametrization (u^2 v - v^3, u^3 - u v^2, v^3)."""
+    P = ({(2, 1): 1, (0, 3): -1}, {(3, 0): 1, (1, 2): -1}, {(0, 3): 1})
+    R = rational_cone("y^2*z-x^3-x^2*z", P, 7)
+    ideal = IdealSpec(R, tuple(R.parse(v) for v in ("x", "y", "z")))
+    ehk = rational_cone_ehk(P, [g.terms for g in ideal.gens], 3, 7)
+    assert ehk == Fraction(7, 3)
+    for q in (7, 49, 343):
+        assert engine.hk_value(ideal, q).phi - ehk * q * q == -Fraction(q + 3, 3), q

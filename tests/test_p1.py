@@ -6,19 +6,10 @@ import pytest
 from hilbertkunz import engine
 from hilbertkunz.errors import NotPrimaryError, UserError
 from hilbertkunz.field import PrimeField
-from hilbertkunz.p1 import (
-    NotStabilized,
-    SplittingType,
-    analyze_ideal,
-    hn_from_splittings,
-    splitting_type,
-    verify_h0_profile,
-)
+from hilbertkunz.p1 import SplittingType, analyze_ideal, hn_from_splittings, splitting_type
 from hilbertkunz.poly import Poly
 from hilbertkunz.ring import GradedRing, IdealSpec
-from hilbertkunz.slopes import HNData, validate
-
-from oracles import split_pieces
+from hilbertkunz.slopes import HNData
 
 
 def free_ideal(p, gen_texts):
@@ -88,9 +79,7 @@ def test_hn_from_splittings_merges_equal_thresholds():
 
 
 def test_hn_from_splittings_not_stabilized():
-    result = hn_from_splittings(SplittingType(2, (8, 10)), SplittingType(4, (15, 21)))
-    assert isinstance(result, NotStabilized)
-    assert not result  # falsy by design
+    assert hn_from_splittings(SplittingType(2, (8, 10)), SplittingType(4, (15, 21))) is None
     with pytest.raises(UserError):
         hn_from_splittings(SplittingType(4, (8,)), SplittingType(2, (4,)))
     with pytest.raises(UserError):
@@ -121,96 +110,6 @@ def test_splitting_requires_p1():
     ideal = IdealSpec(R, tuple(R.parse(v) for v in names))
     with pytest.raises(UserError):
         splitting_type(ideal, 5)
-
-
-def test_verify_h0_profile_accepts_true_data():
-    ideal = free_ideal(5, ("x^3", "x*y^2", "y^3"))
-    hn = HNData(n=3, degY=1, ranks=(1, 1), nus=(Fraction(4), Fraction(5)))
-    for q in (5, 25):
-        report = verify_h0_profile(ideal, q, hn)
-        assert report.ok, report.mismatches
-
-
-def test_verify_h0_profile_flags_wrong_data():
-    # thresholds must give integer twists at the chosen q
-    ideal5 = free_ideal(5, ("x^3", "x*y^2", "y^3"))
-    halves = HNData(n=3, degY=1, ranks=(1, 1), nus=(Fraction(7, 2), Fraction(11, 2)))
-    with pytest.raises(UserError):
-        verify_h0_profile(ideal5, 5, halves)
-    # plausible but wrong slope data is reported, not silently accepted
-    ideal2 = free_ideal(2, ("x^3", "x*y^2", "y^3"))
-    wrong = HNData(n=3, degY=1, ranks=(2,), nus=(Fraction(9, 2),))
-    report = verify_h0_profile(ideal2, 2, wrong)
-    assert not report.ok
-    assert report.mismatches
-
-
-def test_verify_h0_profile_mismatch_names_both_twist_tuples():
-    ideal = free_ideal(2, ("x^3", "x*y^2", "y^3"))
-    wrong = HNData(n=3, degY=1, ranks=(2,), nus=(Fraction(9, 2),))
-    report = verify_h0_profile(ideal, 2, wrong)
-    assert report.twists == (9, 9)
-    assert len(report.mismatches) == 1
-    assert "(8, 10)" in report.mismatches[0] and "(9, 9)" in report.mismatches[0]
-
-
-def _profile_ok_per_degree(ideal, q, hn):
-    """Reference: h0 degree by degree against the split formula in the predicted
-    twists, and the colength against the duality defect h1 from q*max(d_i) on."""
-    twists = [int(v * q) for r, v in zip(hn.ranks, hn.nus) for _ in range(r)]
-    for piece in split_pieces(engine.split(ideal.ring, ideal.gens, q), max(twists) + 2):
-        m = piece.m
-        if piece.syzygy_h0 != sum(max(0, m - e + 1) for e in twists):
-            return False
-        h1 = sum(max(0, e - m - 1) for e in twists)
-        if m >= q * max(ideal.degrees) and piece.colength != h1:
-            return False
-    return True
-
-
-def _checked_cases(ideal):
-    """(q, hn): the slope data ``analyze_ideal`` finds at each q it computed,
-    and the strongly semistable data nu = sum(d)/(n - 1) where it is valid
-    and gives integer twists."""
-    report = analyze_ideal(ideal)
-    qs = [s.q for s in report.splittings]
-    cases = [(q, report.hn) for q in qs] if report.stabilized else []
-    n, total = ideal.n, sum(ideal.degrees)
-    semistable = HNData(n=n, degY=1, ranks=(n - 1,), nus=(Fraction(total, n - 1),))
-    if not validate(semistable, ideal.degrees):
-        cases += [(q, semistable) for q in qs if (q * total) % (n - 1) == 0]
-    return cases
-
-
-def test_verify_h0_profile_agrees_with_the_per_degree_check():
-    """The twist comparison gives the verdict of the per-degree h0 and duality
-    check on the fixed cases and on seeded random binary-form ideals."""
-    fixed = [(free_ideal(5, ("x^3", "x*y^2", "y^3")),
-              HNData(n=3, degY=1, ranks=(1, 1), nus=(Fraction(4), Fraction(5))), (5, 25)),
-             (free_ideal(2, ("x^3", "x*y^2", "y^3")),
-              HNData(n=3, degY=1, ranks=(2,), nus=(Fraction(9, 2),)), (2,))]
-    for ideal, hn, qs in fixed:
-        for q in qs:
-            assert verify_h0_profile(ideal, q, hn).ok == _profile_ok_per_degree(ideal, q, hn)
-    rng = random.Random(20)
-    verdicts = []
-    while len(verdicts) < 60:
-        p = rng.choice((2, 3, 5))
-        F = PrimeField(p)
-        R = GradedRing(F, ("x", "y"))
-        degrees = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
-        gens = [Poly(F, 2, {(a, d - a): rng.randrange(p) for a in range(d + 1)}) for d in degrees]
-        if any(g.is_zero() for g in gens):
-            continue
-        try:
-            ideal = IdealSpec(R, tuple(gens))
-        except NotPrimaryError:
-            continue
-        for q, hn in _checked_cases(ideal):
-            ok = verify_h0_profile(ideal, q, hn).ok
-            assert ok == _profile_ok_per_degree(ideal, q, hn), (ideal, q, hn)
-            verdicts.append(ok)
-    assert True in verdicts and False in verdicts
 
 
 def test_analyze_ideal_exact_case():

@@ -78,6 +78,12 @@ def test_estimate_input_validation():
         estimate_ehk([(4, 16), (4, 17)], bound=10, window_constant=4)
     with pytest.raises(UserError):
         estimate_ehk([(2, 4), (4, 16)], bound=10)  # no window information
+    rows = [(5, 55), (25, 1405), (125, 35155)]
+    with pytest.raises(UserError, match="distinct"):  # a repeat below the two largest q
+        estimate_ehk([(5, 99)] + rows, bound=500, window_constant=16)
+    for window, window_constant in ((-1, None), (Fraction(-1, 100), None), (None, -12)):
+        with pytest.raises(UserError, match="window"):  # not an ambiguous reconstruction
+            estimate_ehk(rows, bound=500, window=window, window_constant=window_constant)
 
 
 def test_nu2_from_ehk_pinned():
